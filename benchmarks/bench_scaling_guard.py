@@ -54,19 +54,15 @@ def test_throughput_scales_near_linearly():
         )
 
 
-#: Enforced floor on each accelerated backend's throughput ratio over
-#: the python engine at 2400 jobs.  Interleaved best-of-N on a quiet
-#: machine measures ~2.3-2.8x for numpy and ~3-4x for the compiled C
-#: kernel; each gate sits below its band so scheduler noise cannot
-#: flake it, while any real backend regression (the ratio falling
-#: toward 1x) still trips.  The numpy ratio is bounded by design: the
-#: backends are pinned bit-identical (tests/test_backends.py), which
-#: forbids the float-reordering vectorization of the final drain, and
-#: the arrival phase is a sequential policy-feedback loop (each greedy
-#: decision mutates the state the next one scores).  The C kernel runs
-#: that same loop compiled, which is where the rest of the speedup
-#: comes from.
-MIN_BACKEND_SPEEDUP = {"numpy": 2.0, "c": 4.0}
+#: Enforced floor on the compiled backend's throughput ratio over the
+#: python engine at 2400 jobs.  The gate sits well below the measured
+#: ratio so scheduler noise cannot flake it, while any real backend
+#: regression (the ratio falling toward 1x) still trips.  The backends
+#: are pinned bit-identical (tests/test_backends.py), which forbids
+#: float-reordering vectorization, and the arrival phase is a
+#: sequential policy-feedback loop (each greedy decision mutates the
+#: state the next one scores); the C kernel runs that loop compiled.
+MIN_BACKEND_SPEEDUP = {"c": 4.0}
 
 
 @pytest.mark.parametrize("backend", sorted(MIN_BACKEND_SPEEDUP))

@@ -4,7 +4,7 @@ Three suites, all deterministic in everything except wall-clock:
 
 * **Scaling sweep** — the S1 workload (datacenter tree, identical jobs,
   the paper's greedy policy) at growing job counts, per engine backend
-  (``python`` and ``numpy``); reports events/s, jobs/s and wall seconds
+  (``python`` and ``c``); reports events/s, jobs/s and wall seconds
   per size.  Near-linear scaling here is the acceptance bar for the
   incremental congestion aggregates; the backend ratio tracks progress
   toward the 1M ev/s target.
@@ -56,7 +56,7 @@ SCHEMA = "bench_engine/v3"
 #: a working compiler) are dropped at :func:`run_bench` time; the
 #: document's ``config.backends`` records what actually ran and
 #: ``config.toolchain`` the compiler provenance either way.
-BENCH_BACKENDS = ("python", "numpy", "c")
+BENCH_BACKENDS = ("python", "c")
 
 #: Allowed throughput degradation factor, shared by ``repro bench
 #: --compare`` and ``benchmarks/bench_scaling_guard.py``: anything
@@ -82,10 +82,6 @@ def _bench_once(instance, policy_factory, backend: str) -> tuple[float, int]:
         from repro.sim.backends.c_backend import CEngine
 
         engine = CEngine(instance, policy_factory(), speeds)
-    elif backend == "numpy":
-        from repro.sim.backends.numpy_backend import NumpyEngine
-
-        engine = NumpyEngine(instance, policy_factory(), speeds)
     else:
         from repro.sim.engine import Engine
 

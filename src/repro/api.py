@@ -59,10 +59,6 @@ __all__ = [
     "SIZE_DISTS",
 ]
 
-#: Sentinel distinguishing "not passed" from any real value in
-#: deprecation shims.
-_UNSET = object()
-
 #: Topology families :func:`build_tree` understands.
 TREE_KINDS = (
     "kary",
@@ -260,21 +256,6 @@ def _resolve_speeds(speeds, speed: float) -> "SpeedProfile | None":
     return None
 
 
-def _shim_collect_counters(counters, collect_counters, fn: str):
-    """One-release rename shim: ``collect_counters=`` → ``counters=``."""
-    if collect_counters is _UNSET:
-        return counters
-    warnings.warn(
-        f"api.{fn}(collect_counters=...) is deprecated; use counters=... "
-        "(the old name will be removed after one release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if counters is None:
-        return collect_counters
-    return counters
-
-
 def _resolve_priority(priority):
     from repro.exceptions import SimulationError
     from repro.sim.engine import fifo_priority, sjf_priority
@@ -304,7 +285,6 @@ def simulate(
     check_invariants: bool = False,
     until: float | None = None,
     counters: bool | None = None,
-    collect_counters=_UNSET,
     tracer=None,
     events: "EventSchedule | None" = None,
 ) -> "SimulationResult":
@@ -327,31 +307,28 @@ def simulate(
     priority:
         ``"sjf"`` (default), ``"fifo"`` or a custom priority callable.
     backend:
-        ``"python"`` (the reference engine), ``"numpy"`` (the
-        vectorized SoA kernel) or ``"c"`` (the compiled kernel, built
-        on demand — raises if no C compiler is available); ``None``
-        reads the ``REPRO_BACKEND`` environment variable, defaulting
-        to ``"python"``.  See :mod:`repro.sim.backends` for when the
-        kernels fall back.
+        ``"python"`` (the reference engine) or ``"c"`` (the compiled
+        kernel, built on demand — raises if no C compiler is
+        available); ``None`` reads the ``REPRO_BACKEND`` environment
+        variable, defaulting to ``"python"``.  One rule decides where a
+        ``"c"`` run executes: the kernel, unless ``until``/``counters``/
+        ``tracer`` is set or the kernel cannot express the call
+        (dynamic events, size estimates, segment recording, invariant
+        checks, custom priorities or policies), in which case the
+        python engine runs the same schedule.  The result's
+        ``backend`` and ``fallback_reason`` record which engine ran and
+        why; see :mod:`repro.sim.backends`.
     record_segments / check_invariants / until / counters / tracer:
         Forwarded to the engine; see
         :class:`~repro.sim.engine.Engine`.
     events:
         An optional :class:`~repro.workload.events.EventSchedule` of
         dynamic events (node outages, cancellations) applied during
-        the run.  Honoured natively by the python and numpy backends;
-        ``backend="c"`` falls back to numpy for event-bearing runs
-        with a once-per-process :class:`RuntimeWarning`.
-
-    .. deprecated::
-        ``collect_counters=`` was renamed to ``counters=``; the old
-        spelling still works for one release with a
-        :class:`DeprecationWarning`.
+        the run, always on the python engine.
     """
     from repro.exceptions import SimulationError
     from repro.sim import backends
 
-    counters = _shim_collect_counters(counters, collect_counters, "simulate")
     if speeds is not None and speed != 1.0:
         raise SimulationError("pass either speed or speeds, not both")
     return backends.simulate(
@@ -501,7 +478,6 @@ def trace_run(
     record_spans: bool = True,
     until: float | None = None,
     counters: bool | None = None,
-    collect_counters=_UNSET,
 ) -> "SimulationResult":
     """Simulate with structured tracing enabled.
 
@@ -514,15 +490,9 @@ def trace_run(
     single-release instance); pass an explicit interval for exact
     cadences, or ``record_points=False`` / ``record_spans=False`` to
     trim volume.
-
-    .. deprecated::
-        ``collect_counters=`` was renamed to ``counters=``; the old
-        spelling still works for one release with a
-        :class:`DeprecationWarning`.
     """
     from repro.obs.trace import TraceConfig, TraceRecorder
 
-    counters = _shim_collect_counters(counters, collect_counters, "trace_run")
     if gauge_interval is None:
         releases = [job.release for job in instance.jobs]
         span = (max(releases) - min(releases)) if releases else 0.0

@@ -143,32 +143,11 @@ class LeastLoadedAssignment:
             )
             # keep the full layout when the outage excludes everything:
             # dispatch must still pick a leaf (the job stalls until the
-            # repair), and the hook memo keys on the layout tuple either
-            # way, so filtered layouts stay bit-consistent across backends.
+            # repair).
             if kept and len(kept) < len(layout):
                 layout = kept
         best_leaf: int | None = None
         best_score = math.inf
-        if uniform:
-            # Batched volume reads when the view offers them (the numpy
-            # kernel's hook): one call returns every candidate's
-            # ``top_load[top] + volume_through(v)`` with the public
-            # methods' exact read-and-sync order, so ``base + own``
-            # reassembles the identical score float.
-            hook = getattr(view, "_ll_bases", None)
-            bases = hook(job, layout) if hook is not None else None
-            if bases is not None:
-                for (v, top, d), base in zip(layout, bases):
-                    score = base + d * p
-                    if score < best_score or (
-                        score == best_score
-                        and (best_leaf is None or v < best_leaf)
-                    ):
-                        best_score = score
-                        best_leaf = v
-                if best_leaf is None:
-                    raise AssignmentError(f"job {job.id} has no feasible leaf")
-                return best_leaf
         top_load = {top: view.queue_volume_at(top) for top in tree.root_children}
         for v, top, d in layout:
             if uniform:

@@ -159,6 +159,10 @@ def _cmd_run(args) -> int:
     print(f"instance : {instance!r}")
     print(f"policy   : {args.policy} ({'fifo' if args.fifo else 'sjf'} nodes)")
     print(f"speed    : {args.speed}")
+    backend = result.backend
+    if result.fallback_reason is not None:
+        backend += f" (fallback: {result.fallback_reason})"
+    print(f"backend  : {backend}")
     if args.until is not None:
         done = result.completed_records()
         print(
@@ -640,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--backend",
-        choices=("python", "numpy", "c"),
+        choices=("python", "c"),
         default=None,
         help="engine backend (default: REPRO_BACKEND env var, else python)",
     )
@@ -866,9 +870,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--backends",
         action="store_true",
-        help="also replay every case on the vectorised numpy backend "
-        "(and, where available and applicable, the compiled c kernel) "
-        "and require agreement with the reference engine",
+        help="also replay every case on the compiled c kernel (where "
+        "available and its plan gate accepts the case) and require "
+        "agreement with the reference engine",
     )
     p_fuzz.add_argument(
         "--events",
@@ -909,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--speed", type=float, default=1.0)
     p_serve.add_argument(
         "--backend",
-        choices=("python", "numpy", "c"),
+        choices=("python", "c"),
         default=None,
         help="resolved like run --backend; streaming always executes on "
         "the python engine (warns if another backend is selected)",

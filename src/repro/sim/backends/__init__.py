@@ -1,30 +1,30 @@
 """Engine backend registry and dispatch.
 
-The selectable engine backends:
+Two engines implement the Section-2 semantics:
 
 * ``"python"`` — the reference :class:`~repro.sim.engine.Engine`: one
   global event heap, per-event observer/tracer/counter hooks, bounded
-  horizons.  Always available; always correct.
-* ``"numpy"`` — the structure-of-arrays kernel
-  (:mod:`repro.sim.backends.numpy_backend`): batch-precomputed job
-  columns, int-encoded priority heaps, lazily-synced per-node sweeps.
-  Several times faster on event-dense workloads, but it has no global
-  event order, so options defined in terms of one (``observer``,
-  ``tracer``, ``until``, engine counters) silently fall back to the
-  python engine — results are equivalent either way, only the execution
-  strategy differs.
+  horizons, dynamic events, streaming.  Always available; always
+  correct.
 * ``"c"`` — the compiled kernel (:mod:`repro.sim.backends.c_backend`):
-  the numpy backend's event loop transliterated to C, built on demand
-  from shipped source by :mod:`repro.sim.backends.c_build` and driven
-  via ctypes.  Another ~3x over numpy, bit-identical output.  Optional:
-  with no working compiler (or ``REPRO_NO_CKERNEL=1``) the backend is
-  *unavailable* — requesting it explicitly raises, selecting it through
-  the environment falls back to ``"python"`` with a warning.  Calls the
-  kernel cannot express (generic priorities, custom policies, segment
-  recording) transparently run on the numpy backend; event-order
-  options fall back to the python engine as above.
+  per-node lazy sweeps over structure-of-arrays job columns, built on
+  demand from shipped source by :mod:`repro.sim.backends.c_build` and
+  driven via ctypes.  More than ten times the python engine on the S1
+  workload, bit-identical output.  Optional: with no working compiler
+  (or ``REPRO_NO_CKERNEL=1``) the backend is *unavailable* — requesting
+  it explicitly raises, selecting it through the environment falls back
+  to ``"python"`` with a warning.
 
-Three implementations of the Section-2 semantics, one call surface.
+One fallback rule, in :func:`simulate`: when the resolved backend is
+``"c"`` and no event-order option is set (``observer``, ``tracer``,
+``until``, engine counters), build a :class:`CEngine`.  If an
+event-order option is set, or the kernel's plan gate raises
+:class:`~repro.sim.backends.c_backend.CKernelInapplicable` (dynamic
+events, size estimates, segment recording, invariant checks, generic
+priorities, policies without a kernel plan), run the python engine
+instead.  The schedule is the same either way; the result records which
+engine ran (``result.backend``) and why it is not the one selected
+(``result.fallback_reason``).
 
 Selection: one resolver, :func:`select_backend`, shared by
 :func:`simulate`, :func:`repro.api.simulate`,
@@ -48,8 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.exceptions import SimulationError
 from repro.sim import engine as _engine
 from repro.sim.backends import c_build
-from repro.sim.backends.c_backend import CEngine, simulate_c
-from repro.sim.backends.numpy_backend import NumpyEngine, NumpyView, simulate_numpy
+from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
 from repro.sim.counters import global_counters
 from repro.sim.engine import (
     AssignmentPolicy,
@@ -71,14 +70,10 @@ __all__ = [
     "select_backend",
     "simulate",
     "CEngine",
-    "NumpyEngine",
-    "NumpyView",
-    "simulate_numpy",
-    "simulate_c",
 ]
 
 #: The selectable engine backends.
-BACKENDS = ("python", "numpy", "c")
+BACKENDS = ("python", "c")
 
 #: Environment variable holding the default backend name.
 ENV_VAR = "REPRO_BACKEND"
@@ -166,8 +161,8 @@ def select_backend(backend: str | None = None) -> BackendChoice:
 def backend_available(backend: str) -> tuple[bool, str | None]:
     """``(available, reason-if-not)`` for a backend name.
 
-    ``python`` and ``numpy`` are always available; ``c`` requires a
-    working C compiler (probed — and the kernel built — on first ask).
+    ``python`` is always available; ``c`` requires a working C
+    compiler (probed — and the kernel built — on first ask).
     """
     if backend not in BACKENDS:
         raise SimulationError(
@@ -183,23 +178,22 @@ def available_backends() -> tuple[str, ...]:
     return tuple(b for b in BACKENDS if backend_available(b)[0])
 
 
-def _numpy_applicable(
+def _event_order_option(
     observer: object,
     tracer: object,
     until: float | None,
     collect_counters: bool | None,
-) -> bool:
-    """Whether the numpy kernel can serve this call (see module doc)."""
-    if observer is not None or tracer is not None or until is not None:
-        return False
-    if collect_counters or (collect_counters is None and global_counters() is not None):
-        return False
-    return True
-
-
-#: One-shot flag: the C-kernel dynamic-events fallback warns once per
-#: process, not once per call (event-bearing sweeps run thousands).
-_warned_c_events = False
+) -> str | None:
+    """The first option set that only the python engine honours, as a
+    fallback reason, or ``None`` when the kernel may serve the call."""
+    for name, value in (("observer", observer), ("tracer", tracer), ("until", until)):
+        if value is not None:
+            return f"{name}= needs the python engine's global event order"
+    if collect_counters:
+        return "counters= needs the python engine's global event order"
+    if collect_counters is None and global_counters() is not None:
+        return "the process-wide engine counters need the python engine"
+    return None
 
 
 def simulate(
@@ -219,58 +213,37 @@ def simulate(
 ) -> SimulationResult:
     """Simulate on the selected backend.
 
-    Accepts the full engine option surface; when ``backend="numpy"`` or
-    ``backend="c"`` is combined with an option the kernels cannot honour
-    (observer, tracer, ``until``, counters), the call transparently runs
-    on the python engine instead — the schedule is the same either way.
-    A dynamic-event schedule (``events=``) is honoured by the python
-    and numpy backends natively; the C kernel cannot express it, so
-    ``backend="c"`` with events falls back to the numpy backend with a
-    once-per-process :class:`RuntimeWarning`.
+    Accepts the full engine option surface.  A run that selects ``"c"``
+    runs on the python engine instead when an option needs it or the
+    kernel cannot express the call (see the module doc); the schedule
+    is the same either way, and the result's ``backend`` /
+    ``fallback_reason`` say what happened.
 
     Selection and the unavailable-backend policy (explicit request
     raises, environment selection warns and falls back) live in
     :func:`select_backend` — the single resolver shared with
     :func:`repro.api.open_system` and the CLI.
     """
-    backend = select_backend(backend).effective
-    if backend == "c" and events is not None and len(events):
-        global _warned_c_events
-        if not _warned_c_events:
-            _warned_c_events = True
-            warnings.warn(
-                "backend='c' cannot run dynamic events (outages/"
-                "cancellations); falling back to the numpy backend for "
-                "event-bearing runs",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        backend = "numpy"
-    if backend == "c" and _numpy_applicable(
-        observer, tracer, until, collect_counters
-    ):
-        return simulate_c(
-            instance,
-            policy,
-            speeds=speeds,
-            priority=priority,
-            record_segments=record_segments,
-            check_invariants=check_invariants,
-            events=events,
-        )
-    if backend == "numpy" and _numpy_applicable(
-        observer, tracer, until, collect_counters
-    ):
-        return simulate_numpy(
-            instance,
-            policy,
-            speeds=speeds,
-            priority=priority,
-            record_segments=record_segments,
-            check_invariants=check_invariants,
-            events=events,
-        )
-    return _engine.simulate(
+    choice = select_backend(backend)
+    reason = choice.fallback_reason
+    if choice.effective == "c":
+        reason = _event_order_option(observer, tracer, until, collect_counters)
+        if reason is None:
+            try:
+                engine = CEngine(
+                    instance,
+                    policy,
+                    speeds,
+                    priority=priority,
+                    record_segments=record_segments,
+                    check_invariants=check_invariants,
+                    events=events,
+                )
+            except CKernelInapplicable as exc:
+                reason = str(exc)
+            else:
+                return engine.run()
+    result = _engine.simulate(
         instance,
         policy,
         speeds=speeds,
@@ -283,3 +256,5 @@ def simulate(
         tracer=tracer,
         events=events,
     )
+    result.fallback_reason = reason
+    return result

@@ -13,24 +13,27 @@ the contract:
   live run would), the paper's greedy-identical rule, and the
   least-loaded baseline.  Anything else — generic priority callables,
   policies with dynamic state the kernel does not model, per-leaf-size
-  greedy, origin-restricted greedy/least-loaded, segment recording —
-  raises :class:`CKernelInapplicable`, and :func:`simulate_c` falls
-  back to the numpy kernel (same schedule, slower execution).
+  greedy, origin-restricted greedy/least-loaded, segment recording,
+  dynamic events, size estimates — raises :class:`CKernelInapplicable`
+  from the constructor, before any policy state is consumed, and
+  :func:`repro.sim.backends.simulate` runs the python engine instead
+  (same schedule, slower execution).
 * **Marshal** — batch-precompute every input column as a numpy array
-  (the same ``np.lexsort`` ranks, finished-tolerances and preorder
-  topology the numpy backend builds), allocate every output buffer, and
-  hand the kernel one pointer-table struct (:class:`_KernelArgs`,
-  field-for-field the C ``KernelArgs``).
+  (``np.lexsort`` priority ranks, finished-tolerances and the preorder
+  topology), allocate every output buffer, and hand the kernel one
+  pointer-table struct (:class:`_KernelArgs`, field-for-field the C
+  ``KernelArgs``).
 * **Assemble** — turn the output columns back into a
   :class:`~repro.sim.result.SimulationResult`, with the per-job flow
-  integrals summed in arrival order exactly as the reference engine
-  sums them.
+  integrals summed in arrival order (the python engine integrates them
+  event by event, so ``fractional_flow`` and ``alive_integral`` can
+  differ from its totals in the last bits).
 
-Parity with the python/numpy backends is exact (``==``), not
-tolerance-based: the kernel replays the same float ops in the same
-order (see the C source header for the three rules), and the fuzz
-battery (``repro fuzz --backends``) plus ``tests/test_backends.py``
-enforce it.
+Schedule parity with the python engine — every leaf, hand-off and
+completion time — is exact (``==``), not tolerance-based: the kernel
+replays the same float ops in the same order (see the C source header
+for the three rules), and the fuzz battery (``repro fuzz --backends``)
+plus ``tests/test_backends.py`` enforce it.
 """
 
 from __future__ import annotations
@@ -49,21 +52,15 @@ from repro.baselines.policies import (
 )
 from repro.exceptions import AssignmentError, SimulationError, TopologyError
 from repro.sim.backends import c_build
-from repro.sim.backends.numpy_backend import simulate_numpy
 from repro.sim.engine import AssignmentPolicy, PriorityFn, fifo_priority, sjf_priority
 from repro.sim.result import JobRecord, SimulationResult
 from repro.sim.speed import SpeedProfile
 from repro.sim.tolerances import REMAINING_ATOL, REMAINING_RTOL
 from repro.workload.instance import Instance, Setting
 
-__all__ = ["CEngine", "CKernelInapplicable", "simulate_c"]
+__all__ = ["CEngine", "CKernelInapplicable"]
 
 _INF = math.inf
-
-#: Upper bound on ``n_jobs * n_nodes``: the kernel's per-node heap and
-#: pending buffers are dense (28 bytes/slot), so past this the numpy
-#: backend's per-node python lists are the better memory trade.
-_MAX_DENSE_SLOTS = 20_000_000
 
 #: Packed heap entries carry the job index in the low 32 bits.
 _MAX_JOBS = 1 << 30
@@ -169,7 +166,7 @@ class CEngine:
 
     Construction plans and gates (raising :class:`CKernelInapplicable`
     when the kernel cannot express the call — the dispatcher then runs
-    the numpy backend instead) and :meth:`run` precomputes the input
+    the python engine instead) and :meth:`run` precomputes the input
     columns, invokes ``repro_run`` once, and assembles the result.
     """
 
@@ -194,15 +191,15 @@ class CEngine:
 
         if record_segments or check_invariants:
             raise CKernelInapplicable(
-                "segment recording / invariant checks need the numpy backend"
+                "segment recording / invariant checks are not in the kernel"
             )
         if events is not None and len(events):
             raise CKernelInapplicable(
-                "dynamic events (outages/cancellations) need the numpy backend"
+                "dynamic events (outages/cancellations) are not in the kernel"
             )
         if any(j.size_estimate is not None for j in instance.jobs):
             raise CKernelInapplicable(
-                "size estimates (masked assignment) need the numpy backend"
+                "size estimates (masked assignment) are not in the kernel"
             )
         if priority is sjf_priority:
             self._prio_kind = 1
@@ -215,11 +212,12 @@ class CEngine:
         n = len(jobs)
         self._jobs = jobs
         tree = instance.tree
-        n_nodes = len(tree.node_ids) - 1
         if n == 0:
             raise CKernelInapplicable("empty instance")
-        if n > _MAX_JOBS or n * n_nodes > _MAX_DENSE_SLOTS:
-            raise CKernelInapplicable("instance too large for dense buffers")
+        if n > _MAX_JOBS:
+            raise CKernelInapplicable(
+                f"more than {_MAX_JOBS} jobs overflow the packed heap entries"
+            )
         self._identical = instance.setting is Setting.IDENTICAL
 
         root = tree.root
@@ -257,9 +255,8 @@ class CEngine:
         self._dll = c_build.load_kernel()
 
         # Static precompute — everything that does not consume policy
-        # state — happens here, mirroring NumpyEngine's construction
-        # split (run() keeps the policy replay, the kernel call and
-        # result assembly).
+        # state — happens here (run() keeps the policy replay, the
+        # kernel call and result assembly).
         (
             self._is_leaf_a, self._speed_a, self._chain_off_a,
             self._chain_concat_a, self._enc_a,
@@ -335,9 +332,9 @@ class CEngine:
         return is_leaf, speed, chain_off, chain_concat, enc
 
     def _leaf_ranks(self) -> np.ndarray:
-        """Leaf-heap order at unrelated-setting SJF leaves: the numpy
-        backend pushes ``(p_leaf, release, id)`` tuples; per-leaf heaps
-        never mix leaves, so one global rank orders each identically."""
+        """Leaf-heap order at unrelated-setting SJF leaves: the engine
+        keys them ``(p_leaf, release, id)``; per-leaf heaps never mix
+        leaves, so one global rank orders each identically."""
         n = len(self._jobs)
         leaf_rank = np.empty(n, dtype=np.int64)
         leaf_rank[
@@ -362,7 +359,7 @@ class CEngine:
 
     def _precompute_static(self, p_leaf, ftol_leaf, job_path_id):
         """Kind 0: replay the policy per arrival against the static
-        view, validating exactly as the numpy backend's arrival path."""
+        view, validating exactly as the engine's arrival path."""
         instance = self.instance
         tree = instance.tree
         root = tree.root
@@ -625,46 +622,8 @@ class CEngine:
             segments=None,
             counters=None,
             trace=None,
+            backend="c",
         )
         result.verify_complete()
         return result
 
-
-def simulate_c(
-    instance: Instance,
-    policy: AssignmentPolicy,
-    *,
-    speeds: SpeedProfile | None = None,
-    priority: PriorityFn = sjf_priority,
-    record_segments: bool = False,
-    check_invariants: bool = False,
-    events=None,
-) -> SimulationResult:
-    """Simulate on the compiled kernel, falling back to the numpy
-    backend for calls outside its plan (the schedule is identical).
-
-    Raises :class:`~repro.sim.backends.c_build.CKernelUnavailable` when
-    no working compiler exists — callers gate on
-    :func:`repro.sim.backends.c_build.availability` first.
-    """
-    try:
-        eng = CEngine(
-            instance,
-            policy,
-            speeds,
-            priority=priority,
-            record_segments=record_segments,
-            check_invariants=check_invariants,
-            events=events,
-        )
-    except CKernelInapplicable:
-        return simulate_numpy(
-            instance,
-            policy,
-            speeds=speeds,
-            priority=priority,
-            record_segments=record_segments,
-            check_invariants=check_invariants,
-            events=events,
-        )
-    return eng.run()

@@ -5,8 +5,8 @@ setuptools build isolation), so the kernel ships as one C source file
 (``engine_kernel.c``) compiled on first use with whatever C compiler
 the machine offers, into a shared library loaded via :mod:`ctypes`.
 
-**Bit parity drives the flag set.**  The kernel replays the numpy
-backend's float ops in the reference order, which IEEE-754 doubles
+**Bit parity drives the flag set.**  The kernel replays the reference
+engine's float ops in the reference order, which IEEE-754 doubles
 reproduce exactly *provided the compiler does not rewrite the ops*:
 
 * ``-O2`` — plain optimisation; value-safe by default.
@@ -64,7 +64,7 @@ __all__ = [
 #: Kernel ABI version; must match ``REPRO_KERNEL_ABI`` in the C source.
 #: Part of the cache key *and* verified against the loaded library's
 #: ``repro_abi_version()`` export.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 #: Compiler commands tried in order when ``REPRO_CC`` is unset.
 _CANDIDATE_CCS = ("cc", "gcc", "clang")

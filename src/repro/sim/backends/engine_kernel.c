@@ -1,33 +1,41 @@
 /* The compiled event-loop kernel behind `repro.sim.backends.c_backend`.
  *
- * This file is a line-for-line transliteration of the hot loops of
- * `numpy_backend.py` (`_advance_node`, `_admit_now`, `_handle_arrival`,
- * the batched F-value hook and the least-loaded volume reads) into C.
- * Bit parity with the reference engine is the contract, so three rules
- * govern every edit here:
+ * The kernel replays the reference engine (`repro.sim.engine`) for the
+ * plans `c_backend.py` admits: per-node SJF/FIFO heaps, store-and-
+ * forward hand-offs, the drain of finished jobs stranded at a heap top,
+ * the greedy F-value scores and the least-loaded volume reads.  Instead
+ * of one global event heap it sweeps each node lazily up to the next
+ * instant anything can observe it (`node_next`), which visits the same
+ * events in an order that cannot change any float the schedule reads.
+ * Bit parity with the reference engine is the contract (checked with
+ * exact `==` by `tests/test_backends.py` and case by case by
+ * `repro fuzz --backends`), so three rules govern every edit here:
  *
- *   1. Every floating-point expression keeps the numpy backend's exact
- *      operand order and association.  IEEE-754 doubles are
+ *   1. Every floating-point expression keeps the reference engine's
+ *      exact operand order and association.  IEEE-754 doubles are
  *      deterministic when the op sequence is; the build deliberately
  *      compiles with `-O2 -ffp-contract=off` and never `-ffast-math`,
  *      so the compiler may not fuse, reorder or approximate these ops.
  *      On x86-64 this is plain SSE2 double arithmetic (no x87 excess
  *      precision); 32-bit x86 builds force `-msse2 -mfpmath=sse`.
  *   2. The per-node priority heaps replicate CPython's `heapq` sift
- *      algorithms *exactly* (including `heappush` = append + siftdown
- *      and the backend's raw-append fast paths), because the F-value
- *      summation iterates the heap in array order — the same
- *      comparison outcomes must produce the same array layout.
+ *      algorithms *exactly* (`heappush` = append + siftdown, and the
+ *      raw appends into an empty heap), because the F-value summation
+ *      iterates the heap in array order — the same comparison outcomes
+ *      must produce the same array layout as the engine's heap.
  *   3. Heap entries are packed int64s `(rank << 32) | job_index`.
  *      Ranks are unique per node, so packed comparisons order exactly
- *      like the numpy backend's int-rank (or, at unrelated-setting SJF
- *      leaves, key-tuple) comparisons, and the payload decodes in O(1).
+ *      like the engine's `(priority key, job id)` tuples, and the
+ *      payload decodes in O(1).
  *
  * The Python side (`c_backend.py`) precomputes every input column,
  * allocates every output buffer, and assembles `SimulationResult`; the
- * kernel owns only its scratch state.  The struct below is the ABI —
- * bump REPRO_KERNEL_ABI whenever its layout (or any semantic) changes,
- * so stale cached shared objects can never be loaded.
+ * kernel owns only its scratch state.  The per-node heaps and pending
+ * lists start small and grow by doubling, so scratch memory follows
+ * the deepest backlog rather than `n_jobs * n_nodes`.  The struct
+ * below is the ABI — bump REPRO_KERNEL_ABI whenever its layout (or any
+ * semantic) changes, so stale cached shared objects can never be
+ * loaded.
  */
 
 #include <math.h>
@@ -35,9 +43,12 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_KERNEL_ABI 1
+#define REPRO_KERNEL_ABI 2
 
 #define IDX_MASK 0xffffffffLL
+
+/* Initial per-node capacity of the heap and pending buffers. */
+#define INIT_CAP 16
 
 /* Status codes returned by repro_run. */
 #define ST_OK 0
@@ -102,22 +113,29 @@ typedef struct {
     int64_t *out_num_events; /* [1] */
 } KernelArgs;
 
-/* Mutable kernel state (scratch, one malloc block). */
+/* One admission waiting at a node: its arrival instant and heap key
+ * (the job index is the key's payload). */
+typedef struct {
+    double t;
+    int64_t key;
+} Pend;
+
+/* Mutable kernel state (scratch: one malloc block for the fixed-size
+ * columns, plus one growable heap and pending list per node). */
 typedef struct {
     const KernelArgs *a;
-    long n;  /* n_jobs */
     long m;  /* n_nodes */
     long mp; /* max_path */
     double now;
     long num_events;
     int status;
     /* per node */
-    int64_t *heap; /* m * n */
+    int64_t **heap; /* [m] -> heap_cap entries */
     long *heap_len;
-    double *pend_t; /* m * n */
-    int64_t *pend_key;
-    int32_t *pend_idx;
+    long *heap_cap;
+    Pend **pend; /* [m] -> pend_cap entries; pis..pend_len-1 outstanding */
     long *pend_len;
+    long *pend_cap;
     long *pis;
     long *actives;
     double *astarts;
@@ -205,10 +223,48 @@ static inline void avail_append(K *k, long i, double t) {
     k->a->out_avail[(size_t)i * k->mp + k->a->out_avail_cnt[i]++] = t;
 }
 
-/* Emission of job `ji` to node `nxt` at time `t`.  `allow_fused`
- * mirrors the numpy backend's branch structure: the fused idle-child
- * admission exists only at `_advance_node`'s encoded-heap emission
- * sites; `_admit_now`'s drain always appends to the pending list. */
+/* Double a per-node buffer; 0 (with ST_NOMEM set) if realloc fails,
+ * leaving the old buffer in place. */
+static int grow(K *k, void **buf, long *cap, size_t elem) {
+    void *p = realloc(*buf, (size_t)(2 * *cap) * elem);
+    if (!p) {
+        k->status = ST_NOMEM;
+        return 0;
+    }
+    *buf = p;
+    *cap *= 2;
+    return 1;
+}
+
+/* Node ni's heap with room for one entry past `len`, or NULL when it
+ * could not grow. */
+static inline int64_t *heap_room(K *k, long ni, long len) {
+    if (len == k->heap_cap[ni] &&
+        !grow(k, (void **)&k->heap[ni], &k->heap_cap[ni], sizeof(int64_t)))
+        return NULL;
+    return k->heap[ni];
+}
+
+/* Append an admission to node ni's pending list.  A list whose every
+ * entry has been admitted restarts at slot 0, so it holds only the
+ * node's outstanding admissions. */
+static inline int pend_push(K *k, long ni, double t, int64_t key) {
+    long len = k->pend_len[ni];
+    if (k->pis[ni] == len)
+        k->pis[ni] = len = 0;
+    if (len == k->pend_cap[ni] &&
+        !grow(k, (void **)&k->pend[ni], &k->pend_cap[ni], sizeof(Pend)))
+        return 0;
+    k->pend[ni][len].t = t;
+    k->pend[ni][len].key = key;
+    k->pend_len[ni] = len + 1;
+    return 1;
+}
+
+/* Emission of job `ji` to node `nxt` at time `t`.  The fused
+ * idle-child admission exists only at `advance_node`'s encoded-heap
+ * emission sites (`allow_fused`); `admit_now`'s drain always appends
+ * to the pending list. */
 static inline void emit(K *k, long nxt, double t, long ji, int allow_fused) {
     const KernelArgs *a = k->a;
     if (a->enc[nxt]) {
@@ -217,7 +273,7 @@ static inline void emit(K *k, long nxt, double t, long ji, int allow_fused) {
             /* Fused admission: idle child with every prior admission
              * consumed — place the run directly (state-identical to
              * push-settle-drain-rearm, minus a pending append). */
-            int64_t *h = k->heap + (size_t)nxt * k->n;
+            int64_t *h = k->heap[nxt];
             h[0] = pack(a->rank[ji], ji);
             k->heap_len[nxt] = 1;
             k->actives[nxt] = ji;
@@ -229,28 +285,18 @@ static inline void emit(K *k, long nxt, double t, long ji, int allow_fused) {
                 k->qv[nxt] += r;
             return;
         }
-        size_t p = (size_t)nxt * k->n + k->pend_len[nxt]++;
-        k->pend_t[p] = t;
-        k->pend_key[p] = pack(a->rank[ji], ji);
-        k->pend_idx[p] = (int32_t)ji;
-        if (t < k->node_next[nxt])
-            k->node_next[nxt] = t;
-    } else {
-        /* Unrelated-setting SJF leaf: the numpy backend pushes the
-         * (p_leaf, release, id) tuple; the per-leaf rank orders
-         * identically. */
-        size_t p = (size_t)nxt * k->n + k->pend_len[nxt]++;
-        k->pend_t[p] = t;
-        k->pend_key[p] = pack(a->leaf_rank[ji], ji);
-        k->pend_idx[p] = (int32_t)ji;
-        if (t < k->node_next[nxt])
-            k->node_next[nxt] = t;
     }
+    /* Unrelated-setting SJF leaves order by (p_leaf, release, id); the
+     * per-leaf rank orders identically. */
+    int64_t rank = a->enc[nxt] ? a->rank[ji] : a->leaf_rank[ji];
+    if (!pend_push(k, nxt, t, pack(rank, ji)))
+        return;
+    if (t < k->node_next[nxt])
+        k->node_next[nxt] = t;
 }
 
 /* Completion body shared by the completion-only sweep and the general
- * loop — one definition, because the numpy backend's two copies are
- * verbatim-identical and the parity contract needs them to stay so. */
+ * loop: one definition, so the two paths cannot drift apart. */
 static inline void complete_job(K *k, long ni, long ji, double astart,
                                 double arem, double finish, int is_leaf,
                                 int agg) {
@@ -318,17 +364,18 @@ static inline void drain_job(K *k, long ni, long ti, double t, int is_leaf,
     }
 }
 
-/* ---- the batched per-node sweep (numpy _advance_node, verbatim) ----- */
+/* ---- the batched per-node sweep ------------------------------------- */
 
+/* Process node ni's completions and admissions due at or before
+ * `limit`.  Emissions land on ni's children, never on ni, so its
+ * pending list cannot change under the loop. */
 static void advance_node(K *k, long ni, double limit) {
     if (k->status)
         return;
     const KernelArgs *a = k->a;
-    double *pend_t = k->pend_t + (size_t)ni * k->n;
-    int64_t *pend_key = k->pend_key + (size_t)ni * k->n;
-    int32_t *pend_idx = k->pend_idx + (size_t)ni * k->n;
+    const Pend *pend = k->pend[ni];
     long pi = k->pis[ni];
-    int64_t *heap = k->heap + (size_t)ni * k->n;
+    int64_t *heap = k->heap[ni];
     long hlen = k->heap_len[ni];
     long active = k->actives[ni];
     double astart = k->astarts[ni];
@@ -374,7 +421,7 @@ static void advance_node(K *k, long ni, double limit) {
     }
 
     for (;;) {
-        double t_next = pi < npend ? pend_t[pi] : INFINITY;
+        double t_next = pi < npend ? pend[pi].t : INFINITY;
         if (active >= 0) {
             double finish = astart + arem / speed;
             if (finish <= t_next && finish <= limit) {
@@ -398,9 +445,9 @@ static void advance_node(K *k, long ni, double limit) {
         if (t_next > limit || pi >= npend)
             break;
         /* -- admission ------------------------------------------------ */
-        double t = pend_t[pi];
-        int64_t key = pend_key[pi];
-        long i = pend_idx[pi];
+        double t = pend[pi].t;
+        int64_t key = pend[pi].key;
+        long i = (long)(key & IDX_MASK);
         pi += 1;
         if (active < 0) {
             if (hlen == 0) {
@@ -418,6 +465,8 @@ static void advance_node(K *k, long ni, double limit) {
         } else if (heap[0] < key) {
             /* The incumbent outranks the newcomer: plain push, the run
              * continues unbroken — the non-preempting enqueue. */
+            if (!(heap = heap_room(k, ni, hlen)))
+                break;
             hpush(heap, &hlen, key);
             if (agg)
                 k->qv[ni] += rem[i];
@@ -459,6 +508,8 @@ static void advance_node(K *k, long ni, double limit) {
             drain_job(k, ni, ti, t, is_leaf, agg, 1);
         }
         /* Push the newcomer and rearm the (possibly new) top. */
+        if (!(heap = heap_room(k, ni, hlen)))
+            break;
         hpush(heap, &hlen, key);
         if (agg)
             k->qv[ni] += rem[i];
@@ -482,10 +533,10 @@ static void advance_node(K *k, long ni, double limit) {
     double nn;
     if (active >= 0) {
         nn = astart + arem / speed;
-        if (pi < npend && pend_t[pi] < nn)
-            nn = pend_t[pi];
+        if (pi < npend && pend[pi].t < nn)
+            nn = pend[pi].t;
     } else if (pi < npend) {
-        nn = pend_t[pi];
+        nn = pend[pi].t;
     } else {
         nn = INFINITY;
     }
@@ -502,13 +553,15 @@ static inline void sync_chain(K *k, long ni, double now) {
     }
 }
 
-/* ---- direct admission (numpy _admit_now, verbatim) ------------------ */
+/* ---- direct admission ------------------------------------------------ */
 
+/* Admit job i at node ni at instant t, settling and preempting the
+ * running job when the newcomer outranks it. */
 static void admit_now(K *k, long ni, double t, long i) {
     if (k->status)
         return;
     const KernelArgs *a = k->a;
-    int64_t *heap = k->heap + (size_t)ni * k->n;
+    int64_t *heap = k->heap[ni];
     long hlen = k->heap_len[ni];
     int enc = a->enc[ni];
     double *rem = k->rem;
@@ -523,6 +576,8 @@ static void admit_now(K *k, long ni, double t, long i) {
         if (heap[0] < key) {
             /* Incumbent outranks the newcomer: run continues unbroken,
              * so the node's next event is unchanged. */
+            if (!(heap = heap_room(k, ni, hlen)))
+                return;
             hpush(heap, &hlen, key);
             k->heap_len[ni] = hlen;
             if (agg)
@@ -555,7 +610,7 @@ static void admit_now(K *k, long ni, double t, long i) {
         }
     }
     /* Drain finished jobs stranded at the heap top (no fused admission
-     * here: the numpy `_admit_now` always appends to the pending list). */
+     * here: emissions always append to the pending list). */
     if (hlen) {
         const double *ftol = is_leaf ? k->ftol_leaf : a->ftol_size;
         while (hlen) {
@@ -567,6 +622,8 @@ static void admit_now(K *k, long ni, double t, long i) {
         }
     }
     /* Push the newcomer and rearm the (possibly new) top. */
+    if (!(heap = heap_room(k, ni, hlen)))
+        return;
     hpush(heap, &hlen, key);
     k->heap_len[ni] = hlen;
     if (agg)
@@ -578,12 +635,12 @@ static void admit_now(K *k, long ni, double t, long i) {
     k->arems[ni] = arem;
     double nn = t + arem / speed;
     long pi = k->pis[ni];
-    if (pi < k->pend_len[ni] && k->pend_t[(size_t)ni * k->n + pi] < nn)
-        nn = k->pend_t[(size_t)ni * k->n + pi];
+    if (pi < k->pend_len[ni] && k->pend[ni][pi].t < nn)
+        nn = k->pend[ni][pi].t;
     k->node_next[ni] = nn;
 }
 
-/* ---- arrivals (numpy _handle_arrival after the policy call) --------- */
+/* ---- arrivals (after the policy call) ------------------------------- */
 
 static void handle_arrival(K *k, long i, long path_id, double now) {
     const KernelArgs *a = k->a;
@@ -620,12 +677,14 @@ static void handle_arrival(K *k, long i, long path_id, double now) {
      * drains goes through the full admit_now. */
     if (a->enc[first]) {
         long active = k->actives[first];
-        int64_t *heap = k->heap + (size_t)first * k->n;
+        int64_t *heap = k->heap[first];
         if (active >= 0) {
             int64_t key = pack(a->rank[i], i);
             if (heap[0] < key) {
                 /* Incumbent outranks the newcomer: plain push, run
                  * continues unbroken, node_next unchanged. */
+                if (!(heap = heap_room(k, first, k->heap_len[first])))
+                    return;
                 hpush(heap, &k->heap_len[first], key);
                 if (a->use_agg)
                     k->qv[first] += k->rem[i];
@@ -643,9 +702,8 @@ static void handle_arrival(K *k, long i, long path_id, double now) {
                 k->qv[first] += r;
             double nn = now + r / a->speed[first];
             long pi = k->pis[first];
-            if (pi < k->pend_len[first] &&
-                k->pend_t[(size_t)first * k->n + pi] < nn)
-                nn = k->pend_t[(size_t)first * k->n + pi];
+            if (pi < k->pend_len[first] && k->pend[first][pi].t < nn)
+                nn = k->pend[first][pi].t;
             k->node_next[first] = nn;
             return;
         }
@@ -653,7 +711,7 @@ static void handle_arrival(K *k, long i, long path_id, double now) {
     admit_now(k, first, now, i);
 }
 
-/* ---- policy: greedy-identical (Section 3.4, numpy hook, verbatim) --- */
+/* ---- policy: greedy-identical (Section 3.4) ------------------------- */
 
 static inline double live_processed(K *k, long ni, double now) {
     if (k->actives[ni] < 0)
@@ -671,8 +729,8 @@ static long assign_greedy(K *k, long i, double now) {
     double p_j = a->size[i];
     double weight_p = a->weight * p_j;
     int64_t r_j = a->rank[i]; /* == sjf rank: kind 1 requires sjf */
-    /* Batched F(j, ·) over the root-adjacent entries, exactly like
-     * NumpyView._f_top_values: sync each entry, then sum its heap in
+    /* F(j, ·) over the root-adjacent entries, exactly like the
+     * engine's f_top_value: sync each entry, then sum its heap in
      * array order (entries are root-adjacent, hence never leaves). */
     for (long e = 0; e < a->n_entries; e++) {
         long ni = a->entry_ni[e];
@@ -681,7 +739,7 @@ static long assign_greedy(K *k, long i, double now) {
         double total = p_j;
         long hl = k->heap_len[ni];
         if (hl) {
-            int64_t *h = k->heap + (size_t)ni * k->n;
+            int64_t *h = k->heap[ni];
             long active = k->actives[ni];
             double live = 0.0;
             int64_t arank = -1;
@@ -737,7 +795,7 @@ static long assign_greedy(K *k, long i, double now) {
     return best_pos >= 0 ? a->entry_min_leaf_path[best_pos] : -1;
 }
 
-/* ---- policy: least-loaded (numpy aggregate reads, verbatim) --------- */
+/* ---- policy: least-loaded (congestion-aggregate reads) -------------- */
 
 static long assign_least_loaded(K *k, long i, double now) {
     const KernelArgs *a = k->a;
@@ -801,36 +859,32 @@ int repro_run(const KernelArgs *a) {
     K k;
     memset(&k, 0, sizeof(k));
     k.a = a;
-    k.n = n;
     k.m = m;
     k.mp = (long)a->max_path;
 
-    size_t mn = (size_t)m * (size_t)n;
     size_t bytes = 0;
-    bytes += mn * sizeof(int64_t);        /* heap */
-    bytes += mn * sizeof(double);         /* pend_t */
-    bytes += mn * sizeof(int64_t);        /* pend_key */
-    bytes += mn * sizeof(int32_t);        /* pend_idx */
-    bytes += (size_t)m * sizeof(long) * 6;/* heap_len pend_len pis actives tc + pad */
-    bytes += (size_t)m * sizeof(double) * 5; /* astarts arems node_next tv qv */
-    bytes += (size_t)n * sizeof(double) * 4; /* rem p_leaf ftol_leaf prev_end */
-    bytes += (size_t)n * sizeof(long);       /* hop */
+    bytes += (size_t)m * sizeof(void *) * 2;  /* heap pend */
+    bytes += (size_t)m * sizeof(long) * 7;    /* heap_len heap_cap pend_len
+                                                 pend_cap pis actives tc */
+    bytes += (size_t)m * sizeof(double) * 5;  /* astarts arems node_next tv qv */
+    bytes += (size_t)n * sizeof(double) * 4;  /* rem p_leaf ftol_leaf prev_end */
+    bytes += (size_t)n * sizeof(long);        /* hop */
     bytes += (size_t)n * sizeof(int32_t) * 2; /* jpath_off jpath_len */
     bytes += (size_t)(a->n_entries > 0 ? a->n_entries : 1) * sizeof(double);
     bytes += (size_t)(a->n_tops > 0 ? a->n_tops : 1) * sizeof(double);
-    char *blob = (char *)malloc(bytes);
+    char *blob = (char *)calloc(1, bytes);
     if (!blob)
         return ST_NOMEM;
     char *p = blob;
 #define TAKE(var, type, count)                                               \
     k.var = (type *)p;                                                       \
     p += (size_t)(count) * sizeof(type)
-    TAKE(heap, int64_t, mn);
-    TAKE(pend_t, double, mn);
-    TAKE(pend_key, int64_t, mn);
-    TAKE(pend_idx, int32_t, mn);
+    TAKE(heap, int64_t *, m);
+    TAKE(pend, Pend *, m);
     TAKE(heap_len, long, m);
+    TAKE(heap_cap, long, m);
     TAKE(pend_len, long, m);
+    TAKE(pend_cap, long, m);
     TAKE(pis, long, m);
     TAKE(actives, long, m);
     TAKE(tc, long, m);
@@ -851,6 +905,12 @@ int repro_run(const KernelArgs *a) {
 #undef TAKE
 
     for (long ni = 0; ni < m; ni++) {
+        k.heap[ni] = (int64_t *)malloc(INIT_CAP * sizeof(int64_t));
+        k.pend[ni] = (Pend *)malloc(INIT_CAP * sizeof(Pend));
+        if (!k.heap[ni] || !k.pend[ni])
+            k.status = ST_NOMEM;
+        k.heap_cap[ni] = INIT_CAP;
+        k.pend_cap[ni] = INIT_CAP;
         k.heap_len[ni] = 0;
         k.pend_len[ni] = 0;
         k.pis[ni] = 0;
@@ -870,7 +930,7 @@ int repro_run(const KernelArgs *a) {
         k.jpath_len[i] = 0;
         a->out_deficit[i] = 0.0;
         /* Availability timelines pre-seeded with the release instant,
-         * exactly like the numpy backend's construction. */
+         * exactly like the engine's job records. */
         a->out_avail[(size_t)i * k.mp] = a->rel[i];
         a->out_avail_cnt[i] = 1;
         a->out_comp_cnt[i] = 0;
@@ -881,7 +941,7 @@ int repro_run(const KernelArgs *a) {
     }
 
     long kind = (long)a->policy_kind;
-    for (long i = 0; i < n; i++) {
+    for (long i = 0; i < n && !k.status; i++) {
         double now = a->rel[i];
         k.now = now;
         long path_id;
@@ -889,8 +949,7 @@ int repro_run(const KernelArgs *a) {
             path_id = a->job_path_id[i];
         } else {
             /* Identical setting: p_{j,leaf} == p_j whichever leaf the
-             * policy picks, so the leaf columns are fixed up front —
-             * the same expression the numpy arrival path evaluates. */
+             * policy picks, so the leaf columns are fixed up front. */
             k.p_leaf[i] = a->size[i];
             k.ftol_leaf[i] = a->ftol_size[i];
             path_id = (kind == 1) ? assign_greedy(&k, i, now)
@@ -908,7 +967,7 @@ int repro_run(const KernelArgs *a) {
         if (k.status)
             break;
     }
-    /* Arrivals count as events exactly as on the numpy backend. */
+    /* Arrivals count as events. */
     k.num_events += n;
 
     /* Final drain: preorder guarantees every node's parent empties
@@ -922,6 +981,10 @@ int repro_run(const KernelArgs *a) {
     }
 
     *a->out_num_events = (int64_t)k.num_events;
+    for (long ni = 0; ni < m; ni++) {
+        free(k.heap[ni]);
+        free(k.pend[ni]);
+    }
     free(blob);
     return k.status;
 }

@@ -134,6 +134,14 @@ class SimulationResult:
         The structured :class:`~repro.obs.trace.SimulationTrace` when a
         :class:`~repro.obs.trace.TraceRecorder` was attached
         (``tracer=...``), else ``None``.
+    backend:
+        The engine that produced the result: ``"python"`` or ``"c"``.
+    fallback_reason:
+        Why a run that selected ``"c"`` ran on python instead (the
+        kernel's plan-gate message, the event-order option that needs
+        the python engine, or why the kernel is unavailable); ``None``
+        when the selected engine ran.  Set by
+        :func:`repro.sim.backends.simulate`.
     """
 
     instance: Instance
@@ -145,6 +153,8 @@ class SimulationResult:
     segments: list[ScheduleSegment] | None = None
     counters: EngineCounters | None = None
     trace: "SimulationTrace | None" = None
+    backend: str = field(default="python", compare=False)
+    fallback_reason: str | None = field(default=None, compare=False)
 
     # ------------------------------------------------------------------
     def assignment(self) -> dict[int, int]:

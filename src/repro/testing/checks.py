@@ -23,11 +23,11 @@ hierarchy (``docs/testing.md``) and returns the failures:
    zero heap leftovers).
 7. **metamorphic** — the symmetry relations of
    :mod:`repro.testing.metamorphic`.
-8. **backends** (opt-in: ``repro fuzz --backends``) — the vectorised
-   numpy kernel (:mod:`repro.sim.backends.numpy_backend`) must replay
-   the case with the identical assignment and event count, and
-   completions within ``SCHEDULE_TOL`` of the reference engine — a
-   third independent implementation in the differential battery.
+8. **backends** (opt-in: ``repro fuzz --backends``) — the compiled C
+   kernel (:mod:`repro.sim.backends.c_backend`) must replay every case
+   its plan gate accepts with the identical assignment and terminal
+   states, and per-hop times within ``SCHEDULE_TOL`` of the reference
+   engine — a second implementation in the differential battery.
 
 Every failure carries the check name, so the shrinker can preserve *the
 same* failure while minimising (``repro.testing.shrink``).
@@ -317,24 +317,20 @@ def run_checks(
                 failures.append(CheckFailure("metamorphic", problem))
 
     if BACKEND_CHECK in selected:
-        numpy_failures, numpy_result = _check_numpy_backend(
-            case, base, assignment
-        )
-        failures.extend(numpy_failures)
-        if numpy_result is not None:
-            failures.extend(_check_c_backend(case, numpy_result))
+        failures.extend(_check_c_backend(case, base, assignment))
 
     return failures
 
 
-def _check_numpy_backend(case: FuzzCase, base, assignment):
-    """Differential replay on the vectorised numpy kernel.
+def _check_c_backend(case: FuzzCase, base, assignment) -> list[CheckFailure]:
+    """Differential replay on the compiled kernel.
 
     The kernel promises bit-identical scheduling *decisions*, so the bar
-    is strict: the same leaf assignment and, per job, the same sequence
-    of per-hop completion / hand-off times within ``SCHEDULE_TOL`` (in
-    practice they are bit-equal; the tolerance only absorbs any future
-    change to float summation order inside the kernel).
+    is strict: the same leaf assignment, the same cancelled state and,
+    per job, the same sequence of per-hop completion / hand-off times
+    within ``SCHEDULE_TOL`` (in practice they are bit-equal; the
+    tolerance only absorbs any future change to float summation order
+    inside the kernel).
 
     ``num_events`` is deliberately *not* compared: on tie-heavy cases
     two hop completions on adjacent nodes can land on the same instant,
@@ -343,25 +339,37 @@ def _check_numpy_backend(case: FuzzCase, base, assignment):
     event goes stale) depends on its event-heap insertion order — an
     implementation detail of the lazy event queue, invisible in the
     schedule.  The per-hop timelines compared here are the schedule.
+
+    Skipped per case when the plan gate rejects it (dynamic events,
+    generic priorities, policies the kernel does not model — those run
+    on the python engine, which the rest of the battery checks) and
+    globally when no working compiler exists.
     """
-    from repro.sim.backends.numpy_backend import NumpyEngine
+    from repro.sim.backends import c_build
+    from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
     from repro.sim.tolerances import SCHEDULE_TOL
 
-    failures: list[CheckFailure] = []
+    if not c_build.availability()[0]:
+        return []
     try:
-        alt = NumpyEngine(
+        eng = CEngine(
             case.instance,
             case.policy(),
             case.speeds(),
             priority=case.priority_fn(),
             events=case.events,
-        ).run()
+        )
+    except (CKernelInapplicable, c_build.CKernelUnavailable):
+        return []
+    try:
+        alt = eng.run()
     except (TreeSchedError, AssertionError) as exc:
         return [
             CheckFailure(
-                "backends", f"numpy backend raised {type(exc).__name__}: {exc}"
+                "backends", f"c backend raised {type(exc).__name__}: {exc}"
             )
-        ], None
+        ]
+    failures: list[CheckFailure] = []
     alt_assignment = alt.assignment()
     if alt_assignment != assignment:
         moved = {
@@ -370,15 +378,13 @@ def _check_numpy_backend(case: FuzzCase, base, assignment):
             if assignment.get(jid) != alt_assignment.get(jid)
         }
         failures.append(
-            CheckFailure(
-                "backends", f"assignment diverged (engine, numpy): {moved}"
-            )
+            CheckFailure("backends", f"assignment diverged (engine, c): {moved}")
         )
     for jid, rec in base.records.items():
         got = alt.records.get(jid)
         if got is None:
             failures.append(
-                CheckFailure("backends", f"job {jid} never completed on numpy")
+                CheckFailure("backends", f"job {jid} never completed on c")
             )
             continue
         if rec.cancelled != got.cancelled or (
@@ -389,7 +395,7 @@ def _check_numpy_backend(case: FuzzCase, base, assignment):
                 CheckFailure(
                     "backends",
                     f"job {jid}: terminal state engine "
-                    f"cancelled_at={rec.cancelled_at!r}, numpy "
+                    f"cancelled_at={rec.cancelled_at!r}, c "
                     f"cancelled_at={got.cancelled_at!r}",
                 )
             )
@@ -403,79 +409,9 @@ def _check_numpy_backend(case: FuzzCase, base, assignment):
                 failures.append(
                     CheckFailure(
                         "backends",
-                        f"job {jid}: {label} engine {ours!r}, numpy {theirs!r}",
+                        f"job {jid}: {label} engine {ours!r}, c {theirs!r}",
                     )
                 )
-    return failures, alt
-
-
-def _check_c_backend(case: FuzzCase, numpy_result) -> list[CheckFailure]:
-    """Differential replay on the compiled kernel, pinned to the numpy
-    backend **bit-for-bit** (``==``, no tolerance).
-
-    The C kernel is a transliteration of the numpy backend's float ops
-    in the same order, so here even ``num_events`` must agree exactly —
-    any drift means the kernels' event loops have diverged.  Skipped
-    per-case when the plan gate rejects the case (generic priorities,
-    policies the kernel does not model) and globally when no working
-    compiler exists: the numpy check above still pins those cases to
-    the reference engine.
-    """
-    from repro.sim.backends import c_build
-    from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
-
-    if not c_build.availability()[0]:
-        return []
-    try:
-        eng = CEngine(
-            case.instance,
-            case.policy(),
-            case.speeds(),
-            priority=case.priority_fn(),
-            events=case.events,
-        )
-    except (CKernelInapplicable, c_build.CKernelUnavailable):
-        # Event-bearing plans are among the inapplicable cases: the C
-        # kernel declines them and the numpy check above keeps the case
-        # pinned to the reference engine.
-        return []
-    try:
-        alt = eng.run()
-    except (TreeSchedError, AssertionError) as exc:
-        return [
-            CheckFailure(
-                "backends", f"c backend raised {type(exc).__name__}: {exc}"
-            )
-        ]
-    failures: list[CheckFailure] = []
-    if alt.num_events != numpy_result.num_events:
-        failures.append(
-            CheckFailure(
-                "backends",
-                f"num_events diverged: numpy {numpy_result.num_events}, "
-                f"c {alt.num_events}",
-            )
-        )
-    for jid, rec in numpy_result.records.items():
-        got = alt.records.get(jid)
-        if got is None:
-            failures.append(
-                CheckFailure("backends", f"job {jid} missing on c backend")
-            )
-            continue
-        if (
-            got.leaf != rec.leaf
-            or got.completed_at != rec.completed_at
-            or got.available_at != rec.available_at
-        ):
-            failures.append(
-                CheckFailure(
-                    "backends",
-                    f"job {jid} not bit-identical: numpy "
-                    f"(leaf={rec.leaf}, comp={rec.completed_at!r}), c "
-                    f"(leaf={got.leaf}, comp={got.completed_at!r})",
-                )
-            )
     return failures
 
 

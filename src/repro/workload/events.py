@@ -13,8 +13,8 @@ narrator and Dinitz–Moseley's reconfigurable networks:
   *cancelled* terminal state instead of a completion.
 
 Event semantics are defined once (``docs/dynamic-events.md``) and
-implemented four times — python engine, numpy kernel, and both fuzz
-oracles — so schedules validate aggressively here: a malformed schedule
+implemented three times — the python engine and both fuzz oracles —
+so schedules validate aggressively here: a malformed schedule
 must fail loudly at construction, never diverge silently mid-run.
 
 Ordering contract (shared by every implementation): events are stored

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import pytest
@@ -14,30 +15,28 @@ def both_backends_fixture(module_name: str):
     The engine-level suites (hand-computed schedules, invariants,
     metamorphic relations) call a module-global ``simulate``; binding
     ``_engine_backend = both_backends_fixture(__name__)`` in such a
-    module parametrizes it over ``python`` / ``numpy`` / ``c`` by
-    swapping that global for the corresponding kernel's wrapper, so
+    module parametrizes it over ``python`` / ``c`` by swapping that
+    global for ``repro.sim.backends.simulate(..., backend="c")``, so
     every schedule assertion doubles as a cross-backend equivalence
-    check.  The ``c`` parameter skips on machines without a working
-    compiler (or with ``REPRO_NO_CKERNEL=1``).
+    check (calls the kernel cannot express run on the python engine
+    under the dispatcher's one fallback rule).  The ``c`` parameter
+    skips on machines without a working compiler (or with
+    ``REPRO_NO_CKERNEL=1``).
     """
 
-    @pytest.fixture(autouse=True, params=["python", "numpy", "c"])
+    @pytest.fixture(autouse=True, params=["python", "c"])
     def _engine_backend(request, monkeypatch):
-        if request.param == "numpy":
-            from repro.sim.backends.numpy_backend import simulate_numpy
-
-            monkeypatch.setattr(
-                sys.modules[module_name], "simulate", simulate_numpy
-            )
-        elif request.param == "c":
+        if request.param == "c":
+            from repro.sim import backends
             from repro.sim.backends import c_build
-            from repro.sim.backends.c_backend import simulate_c
 
             ok, reason = c_build.availability()
             if not ok:
                 pytest.skip(f"c backend unavailable: {reason}")
             monkeypatch.setattr(
-                sys.modules[module_name], "simulate", simulate_c
+                sys.modules[module_name],
+                "simulate",
+                functools.partial(backends.simulate, backend="c"),
             )
         return request.param
 

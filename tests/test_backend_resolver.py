@@ -13,7 +13,13 @@ from repro.sim.backends import (
     ENV_VAR,
     BackendChoice,
     backend_available,
+    c_build,
     select_backend,
+)
+
+_C_OK, _C_REASON = c_build.availability()
+needs_c = pytest.mark.skipif(
+    not _C_OK, reason=f"c backend unavailable: {_C_REASON}"
 )
 
 
@@ -24,14 +30,14 @@ class TestPrecedence:
         assert choice == BackendChoice(None, "default", "python")
 
     def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
+        monkeypatch.setenv(ENV_VAR, "python")
         choice = select_backend()
         assert choice.source == "env"
-        assert choice.effective == "numpy"
+        assert choice.effective == "python"
         assert choice.fallback_reason is None
 
     def test_kwarg_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
+        monkeypatch.setenv(ENV_VAR, "c")
         choice = select_backend("python")
         assert choice.source == "kwarg"
         assert choice.effective == "python"
@@ -52,8 +58,6 @@ class TestValidationAndAvailability:
 
     @pytest.fixture()
     def no_compiler(self, monkeypatch):
-        from repro.sim.backends import c_build
-
         monkeypatch.setattr(c_build, "find_compiler", lambda: None)
         c_build._reset_probe()
         yield
@@ -79,14 +83,16 @@ class TestValidationAndAvailability:
 class TestSharedByEntryPoints:
     """Both blessed call surfaces honour the same resolution."""
 
+    @needs_c
     def test_backends_simulate_reads_env(self, monkeypatch):
         from repro import api
 
         inst = api.make_instance(n_jobs=20, seed=7)
         monkeypatch.delenv(ENV_VAR, raising=False)
         ref = api.simulate(instance=inst, policy="greedy")
-        monkeypatch.setenv(ENV_VAR, "numpy")
+        monkeypatch.setenv(ENV_VAR, "c")
         via_env = api.simulate(instance=inst, policy="greedy")
+        assert (ref.backend, via_env.backend) == ("python", "c")
         for jid, rec in ref.records.items():
             assert via_env.records[jid].completion == rec.completion
 
@@ -99,8 +105,46 @@ class TestSharedByEntryPoints:
             api.open_system(instance=inst)
 
     def test_all_backends_enumerated(self):
-        assert set(BACKENDS) == {"python", "numpy", "c"}
+        assert BACKENDS == ("python", "c")
         assert backend_available("python") == (True, None)
-        assert backend_available("numpy") == (True, None)
-        with pytest.raises(SimulationError):
-            backend_available("fortran")
+        for name in ("numpy", "fortran"):
+            with pytest.raises(SimulationError):
+                backend_available(name)
+
+
+@needs_c
+class TestFallbackAttribution:
+    """Every result names the engine that ran and, when that is not the
+    selected one, why."""
+
+    def _instance(self):
+        from repro import api
+
+        return api.make_instance(
+            tree=api.build_tree("datacenter", num_pods=2, racks_per_pod=2,
+                                machines_per_rack=2),
+            n_jobs=40, seed=3,
+        )
+
+    def test_s1_run_is_served_by_c(self):
+        from repro import api
+
+        result = api.simulate(instance=self._instance(), backend="c")
+        assert result.backend == "c"
+        assert result.fallback_reason is None
+
+    def test_event_bearing_run_reports_python_and_why(self):
+        from repro import api
+        from repro.workload.events import Cancel, EventSchedule
+
+        inst = self._instance()
+        events = EventSchedule([Cancel(inst.jobs[5].release + 0.5, inst.jobs[5].id)])
+        result = api.simulate(instance=inst, backend="c", events=events)
+        assert result.backend == "python"
+        assert "dynamic events" in result.fallback_reason
+
+    def test_python_selection_has_no_fallback(self):
+        from repro import api
+
+        result = api.simulate(instance=self._instance(), backend="python")
+        assert (result.backend, result.fallback_reason) == ("python", None)

@@ -1,11 +1,12 @@
 """The backend registry: selection, dispatch, fallback, and
 cross-backend parity on a realistic workload.
 
-The bit-level schedule equivalence of the numpy kernel is enforced
+The bit-level schedule equivalence of the C kernel is enforced
 case-by-case by the differential fuzzer (``repro fuzz --backends``) and
 by the engine suites, which run on both backends; this module covers the
 *dispatch* layer (``repro.sim.backends.simulate`` / ``repro.api``) and
-one seeded end-to-end parity check on the S1 benchmark workload.
+seeded end-to-end parity checks on the S1 benchmark workload and on a
+release burst.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ import pytest
 
 from repro import api
 from repro.analysis.experiments.workloads import identical_instance
+from repro.baselines.policies import ClosestLeafAssignment, LeastLoadedAssignment
 from repro.core.assignment import GreedyIdenticalAssignment
 from repro.exceptions import SimulationError
 from repro.network.builders import datacenter_tree
 from repro.sim import backends
 from repro.sim.backends import c_build
-from repro.sim.backends.numpy_backend import NumpyEngine
+from repro.sim.backends.c_backend import CEngine
 from repro.sim.speed import SpeedProfile
+from repro.workload.instance import Instance, Setting
+from repro.workload.job import Job, JobSet
 
 _C_OK, _C_REASON = c_build.availability()
 needs_c = pytest.mark.skipif(
@@ -43,51 +47,65 @@ def _run(backend, **kwargs):
     )
 
 
-class TestCrossBackendParity:
-    def test_s1_schedules_identical(self):
-        a = _run("python", record_segments=True)
-        b = _run("numpy", record_segments=True)
-        assert set(a.records) == set(b.records)
-        for jid, ra in a.records.items():
-            rb = b.records[jid]
-            assert rb.leaf == ra.leaf
-            assert rb.path == ra.path
-            assert rb.completed_at == ra.completed_at
-            assert rb.available_at == ra.available_at
-        assert a.total_flow_time() == b.total_flow_time()
-        # Segment multisets match; the kernel emits them in per-node
-        # batches and canonicalises by (start, end, node, job), so only
-        # the order may differ from the engine's event order.
-        key = lambda s: (s.start, s.end, s.node, s.job_id)  # noqa: E731
-        assert sorted(a.segments, key=key) == sorted(b.segments, key=key)
+def _assert_same_schedule(a, b):
+    assert set(a.records) == set(b.records)
+    for jid, ra in a.records.items():
+        rb = b.records[jid]
+        assert rb.leaf == ra.leaf
+        assert rb.path == ra.path
+        assert rb.completed_at == ra.completed_at
+        assert rb.available_at == ra.available_at
+    assert a.total_flow_time() == b.total_flow_time()
 
-    def test_api_facade_backend_keyword(self):
-        inst = _s1_instance(60)
-        a = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="python")
-        b = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="numpy")
-        assert {j: r.completion for j, r in a.records.items()} == {
-            j: r.completion for j, r in b.records.items()
-        }
+
+class TestCrossBackendParity:
+    @needs_c
+    def test_s1_schedules_identical(self):
+        a = _run("python")
+        b = _run("c")
+        assert (a.backend, b.backend) == ("python", "c")
+        _assert_same_schedule(a, b)
 
     @needs_c
-    def test_c_matches_numpy_bit_for_bit(self):
-        a = _run("numpy")
-        b = _run("c")
-        assert set(a.records) == set(b.records)
-        for jid, ra in a.records.items():
-            rb = b.records[jid]
-            assert rb.leaf == ra.leaf
-            assert rb.path == ra.path
-            assert rb.completed_at == ra.completed_at
-            assert rb.available_at == ra.available_at
-        assert a.num_events == b.num_events
-        assert a.total_flow_time() == b.total_flow_time()
-        assert a.fractional_flow == b.fractional_flow
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            lambda: GreedyIdenticalAssignment(0.25),
+            LeastLoadedAssignment,
+            ClosestLeafAssignment,
+        ],
+        ids=["greedy", "least-loaded", "closest"],
+    )
+    def test_burst_past_initial_capacity(self, policy):
+        # 150 simultaneous releases queue dozens of jobs per node (every
+        # one on a single path under closest-leaf), far past the
+        # kernel's initial per-node heap and pending capacity, so the
+        # buffers must grow mid-run without disturbing the schedule.
+        jobs = JobSet(
+            Job(id=i, release=0.0 if i < 150 else 0.01 * i,
+                size=1.0 + (i * 7919 % 13) / 4)
+            for i in range(300)
+        )
+        inst = Instance(datacenter_tree(3, 3, 4), jobs, Setting.IDENTICAL)
+        a = backends.simulate(inst, policy(), backend="python")
+        b = backends.simulate(inst, policy(), backend="c")
+        assert b.backend == "c"
+        _assert_same_schedule(a, b)
+
+    @needs_c
+    def test_api_facade_backend_keyword(self):
+        inst = _s1_instance(60)
+        for backend in ("python", "c"):
+            result = api.simulate(
+                instance=inst, policy="greedy", eps=0.25, backend=backend
+            )
+            assert result.backend == backend
+            assert result.fallback_reason is None
 
     @needs_c
     def test_api_facade_c_backend(self):
         inst = _s1_instance(60)
-        a = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="numpy")
+        a = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="python")
         b = api.simulate(instance=inst, policy="greedy", eps=0.25, backend="c")
         assert {j: r.completion for j, r in a.records.items()} == {
             j: r.completion for j, r in b.records.items()
@@ -96,12 +114,12 @@ class TestCrossBackendParity:
 
 class TestSelection:
     def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "numpy")
+        monkeypatch.setenv(backends.ENV_VAR, "c")
         assert backends.resolve_backend("python") == "python"
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "numpy")
-        assert backends.resolve_backend(None) == "numpy"
+        monkeypatch.setenv(backends.ENV_VAR, "c")
+        assert backends.resolve_backend(None) == "c"
         monkeypatch.delenv(backends.ENV_VAR)
         assert backends.resolve_backend(None) == "python"
 
@@ -109,86 +127,99 @@ class TestSelection:
         monkeypatch.setenv(backends.ENV_VAR, "")
         assert backends.resolve_backend(None) == "python"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="unknown backend"):
-            backends.resolve_backend("fortran")
-        with pytest.raises(SimulationError, match="unknown backend"):
-            _run("fortran")
-
-    def test_env_selects_numpy_end_to_end(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "numpy")
-        a = _run(None)
-        b = _run("python")
-        assert {j: r.completion for j, r in a.records.items()} == {
-            j: r.completion for j, r in b.records.items()
-        }
+    def test_unknown_backend_rejected(self, monkeypatch):
+        # "numpy" named a backend that has been removed.
+        for name in ("fortran", "numpy"):
+            with pytest.raises(SimulationError, match="unknown backend"):
+                backends.resolve_backend(name)
+            with pytest.raises(SimulationError, match="unknown backend"):
+                _run(name)
+            monkeypatch.setenv(backends.ENV_VAR, name)
+            with pytest.raises(SimulationError, match="unknown backend"):
+                _run(None)
+            monkeypatch.delenv(backends.ENV_VAR)
 
     @needs_c
     def test_env_selects_c_end_to_end(self, monkeypatch):
         monkeypatch.setenv(backends.ENV_VAR, "c")
         a = _run(None)
         b = _run("python")
+        assert a.backend == "c"
         assert {j: r.completion for j, r in a.records.items()} == {
             j: r.completion for j, r in b.records.items()
         }
 
     def test_backend_available_registry(self):
+        assert backends.BACKENDS == ("python", "c")
         assert backends.backend_available("python") == (True, None)
-        assert backends.backend_available("numpy") == (True, None)
         ok, reason = backends.backend_available("c")
         assert ok == (reason is None)
         avail = backends.available_backends()
-        assert "python" in avail and "numpy" in avail
+        assert "python" in avail
         assert ("c" in avail) == ok
         with pytest.raises(SimulationError, match="unknown backend"):
             backends.backend_available("fortran")
 
 
 class TestFallback:
-    """Options defined in terms of the global event order silently run
-    on the python engine, even under ``backend="numpy"``."""
+    """Under ``backend="c"``, options defined in terms of the global
+    event order and calls the kernel cannot express run on the python
+    engine, and the result says why."""
 
-    def test_observer_falls_back(self):
+    @needs_c
+    def test_observer_falls_back(self, monkeypatch):
+        # The rule is the same whichever way "c" was selected.
+        monkeypatch.setenv(backends.ENV_VAR, "c")
         seen = []
-        result = _run("numpy", observer=lambda view, kind, subject: seen.append(kind))
-        assert seen  # the numpy kernel has no observer hook at all
-        assert len(result.records) == 160
-
-    def test_until_falls_back(self):
-        result = _run("numpy", until=1.0)
-        assert len(result.records) < 160  # genuinely bounded, so python ran
-
-    def test_counters_fall_back(self):
-        result = _run("numpy", collect_counters=True)
-        assert result.counters is not None
-        assert result.counters.arrivals == 160
-
-    def test_plain_numpy_call_does_not_fall_back(self):
-        result = _run("numpy")
-        assert result.counters is None
-        assert len(result.records) == 160
+        result = _run(None, observer=lambda view, kind, subject: seen.append(kind))
+        assert seen
+        assert result.backend == "python"
+        assert "observer=" in result.fallback_reason
 
     @needs_c
     def test_c_observer_falls_back_to_python(self):
         seen = []
         result = _run("c", observer=lambda view, kind, subject: seen.append(kind))
-        assert seen  # the compiled kernel has no observer hook either
+        assert seen  # the compiled kernel has no observer hook at all
         assert len(result.records) == 160
+        assert result.backend == "python"
+        assert "observer=" in result.fallback_reason
 
     @needs_c
-    def test_c_record_segments_falls_back_to_numpy(self):
-        # The C kernel never records segments; simulate_c hands the call
-        # to the numpy backend, which does.
+    def test_until_falls_back(self):
+        result = _run("c", until=1.0)
+        assert len(result.records) < 160  # genuinely bounded, so python ran
+        assert "until=" in result.fallback_reason
+
+    @needs_c
+    def test_counters_fall_back(self):
+        result = _run("c", collect_counters=True)
+        assert result.counters is not None
+        assert result.counters.arrivals == 160
+        assert "counters=" in result.fallback_reason
+
+    @needs_c
+    def test_plain_c_call_does_not_fall_back(self):
+        result = _run("c")
+        assert result.counters is None
+        assert len(result.records) == 160
+        assert (result.backend, result.fallback_reason) == ("c", None)
+
+    @needs_c
+    def test_c_record_segments_falls_back_to_python(self):
+        # The C kernel never records segments; the python engine does.
         result = _run("c", record_segments=True)
         assert result.segments
+        assert result.backend == "python"
+        assert "segment recording" in result.fallback_reason
         ref = _run("python", record_segments=True)
         key = lambda s: (s.start, s.end, s.node, s.job_id)  # noqa: E731
         assert sorted(result.segments, key=key) == sorted(ref.segments, key=key)
 
     @needs_c
-    def test_c_inapplicable_policy_falls_back_to_numpy(self):
+    def test_c_inapplicable_policy_falls_back_to_python(self):
         # A policy the kernel has no native or static plan for (stateful
-        # in a way it cannot replay) runs on the numpy backend instead.
+        # in a way it cannot replay) runs on the python engine instead.
         class Adversarial:
             def assign(self, view, job, now):
                 # depends on live queue state -> not statically plannable
@@ -198,7 +229,9 @@ class TestFallback:
 
         inst = _s1_instance(40)
         a = backends.simulate(inst, Adversarial(), backend="c")
-        b = backends.simulate(inst, Adversarial(), backend="numpy")
+        b = backends.simulate(inst, Adversarial(), backend="python")
+        assert a.backend == "python"
+        assert "Adversarial" in a.fallback_reason
         assert {j: r.completed_at for j, r in a.records.items()} == {
             j: r.completed_at for j, r in b.records.items()
         }
@@ -229,6 +262,8 @@ class TestCUnavailable:
         with pytest.warns(RuntimeWarning, match="falling back to the python"):
             result = _run(None)
         assert len(result.records) == 160
+        assert result.backend == "python"
+        assert "no C compiler" in result.fallback_reason
 
     def test_registry_excludes_c(self, no_compiler):
         assert backends.backend_available("c")[0] is False
@@ -274,14 +309,10 @@ class TestBuildCache:
         assert dll.repro_abi_version() == c_build.ABI_VERSION
 
 
-class TestNumpyEngineSurface:
+class TestCEngineSurface:
+    @needs_c
     def test_run_once(self):
-        eng = NumpyEngine(_s1_instance(20), GreedyIdenticalAssignment(0.25))
+        eng = CEngine(_s1_instance(20), GreedyIdenticalAssignment(0.25))
         eng.run()
         with pytest.raises(SimulationError, match="only run once"):
             eng.run()
-
-    def test_until_rejected(self):
-        eng = NumpyEngine(_s1_instance(20), GreedyIdenticalAssignment(0.25))
-        with pytest.raises(SimulationError, match="bounded horizons"):
-            eng.run(until=5.0)

@@ -120,36 +120,18 @@ class TestEventLogRemoved:
         assert done == set(result.records)
 
 
-class TestCollectCountersRenameShim:
-    """The *live* one-release shim: ``collect_counters=`` →
-    ``counters=`` in ``api.simulate`` / ``api.trace_run``.  Warns once
-    per call and still works; next release these tests flip into the
-    removal form above (old spelling becomes a ``TypeError``)."""
+class TestCollectCountersRemoved:
+    """The one-release ``collect_counters=`` → ``counters=`` rename shim
+    in ``api.simulate`` / ``api.trace_run`` is gone: the old spelling is
+    a ``TypeError``."""
 
-    def test_simulate_old_name_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="collect_counters"):
-            result = api.simulate(instance=_instance(), collect_counters=True)
-        assert result.counters is not None
+    def test_simulate_old_name_rejected(self):
+        with pytest.raises(TypeError, match="collect_counters"):
+            api.simulate(instance=_instance(), collect_counters=True)
 
-    def test_trace_run_old_name_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="collect_counters"):
-            result = api.trace_run(instance=_instance(), collect_counters=True)
-        assert result.counters is not None
-        assert result.trace is not None
-
-    def test_exactly_one_warning_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.simulate(instance=_instance(), collect_counters=False)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-
-    def test_new_name_wins_when_both_passed(self):
-        with pytest.warns(DeprecationWarning):
-            result = api.simulate(
-                instance=_instance(), counters=True, collect_counters=False
-            )
-        assert result.counters is not None
+    def test_trace_run_old_name_rejected(self):
+        with pytest.raises(TypeError, match="collect_counters"):
+            api.trace_run(instance=_instance(), collect_counters=True)
 
     def test_new_name_is_silent(self):
         with warnings.catch_warnings():

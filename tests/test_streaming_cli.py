@@ -52,38 +52,54 @@ class TestServe:
 
 
 class TestRunBackendFlag:
+    @pytest.fixture()
+    def needs_c(self):
+        from repro.sim.backends import c_build
+
+        ok, reason = c_build.availability()
+        if not ok:
+            pytest.skip(f"c backend unavailable: {reason}")
+
     def _flow_line(self, capsys):
         out = capsys.readouterr().out
         [line] = [ln for ln in out.splitlines() if "total flow time" in ln]
         return line
 
-    def test_backend_flag_matches_default(self, capsys):
+    def test_backend_flag_matches_default(self, capsys, needs_c):
         base = ["run", "--jobs", "40", "--seed", "3"]
         assert main(base) == 0
         ref = self._flow_line(capsys)
-        assert main(base + ["--backend", "numpy"]) == 0
+        assert main(base + ["--backend", "c"]) == 0
         assert self._flow_line(capsys) == ref
         assert main(base + ["--backend", "python"]) == 0
         assert self._flow_line(capsys) == ref
 
-    def test_env_var_respected(self, capsys, monkeypatch):
+    def test_env_var_respected(self, capsys, monkeypatch, needs_c):
         base = ["run", "--jobs", "40", "--seed", "3"]
         assert main(base) == 0
         ref = self._flow_line(capsys)
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_BACKEND", "c")
         assert main(base) == 0
         assert self._flow_line(capsys) == ref
 
-    def test_backend_composes_with_profile(self, capsys):
+    def test_backend_composes_with_profile(self, capsys, needs_c):
         # event-order options (profiling changes nothing, but --until
         # does) force the python engine; the flag must still be accepted
         rc = main([
-            "run", "--jobs", "30", "--seed", "1", "--backend", "numpy",
+            "run", "--jobs", "30", "--seed", "1", "--backend", "c",
             "--profile", "--until", "10",
         ])
         assert rc == 0
         assert "horizon" in capsys.readouterr().out
 
     def test_bad_backend_name_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--backend", "fortran"])
+        for name in ("fortran", "numpy"):
+            with pytest.raises(SystemExit):
+                main(["run", "--backend", name])
+
+    def test_run_prints_backend_and_fallback_reason(self, capsys, needs_c):
+        base = ["run", "--jobs", "30", "--seed", "1", "--backend", "c"]
+        assert main(base) == 0
+        assert "backend  : c\n" in capsys.readouterr().out
+        assert main(base + ["--until", "10"]) == 0
+        assert "backend  : python (fallback: until=" in capsys.readouterr().out
