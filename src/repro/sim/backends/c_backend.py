@@ -23,9 +23,12 @@ the contract:
   topology), allocate every output buffer, and hand the kernel one
   pointer-table struct (:class:`_KernelArgs`, field-for-field the C
   ``KernelArgs``).
-* **Assemble** — turn the output columns back into a
-  :class:`~repro.sim.result.SimulationResult`, with the per-job flow
-  integrals summed in arrival order (the python engine integrates them
+* **Assemble** — wrap the output buffers, uncopied, as the
+  :class:`~repro.sim.result.SimulationResult`'s columns
+  (:class:`~repro.sim.result.ResultColumns` for the reductions, a
+  :class:`~repro.sim.result.RecordView` that builds ``JobRecord``
+  objects only on first access), with the per-job flow integrals summed
+  left to right in arrival order (the python engine integrates them
   event by event, so ``fractional_flow`` and ``alive_integral`` can
   differ from its totals in the last bits).
 
@@ -53,7 +56,7 @@ from repro.baselines.policies import (
 from repro.exceptions import AssignmentError, SimulationError, TopologyError
 from repro.sim.backends import c_build
 from repro.sim.engine import AssignmentPolicy, PriorityFn, fifo_priority, sjf_priority
-from repro.sim.result import JobRecord, SimulationResult
+from repro.sim.result import RecordView, SimulationResult
 from repro.sim.speed import SpeedProfile
 from repro.sim.tolerances import REMAINING_ATOL, REMAINING_RTOL
 from repro.workload.instance import Instance, Setting
@@ -289,7 +292,10 @@ class CEngine:
             # the policy can pick (kind gates enforce it).
             self._p_leaf_a[:] = size
             self._ftol_leaf_a[:] = self._ftol_size_a
-            self._leaf_rank_a = self._leaf_ranks()
+            # With p_leaf == size, the leaf key (p_leaf, release, id) is
+            # the SJF key, so the leaf rank is the priority rank; under
+            # FIFO every node is encoded and leaf_rank is never read.
+            self._leaf_rank_a = rank
             if self._kind == 1:
                 self._e_cols = self._precompute_greedy()
                 self._weight = float(policy.weight)
@@ -470,8 +476,7 @@ class CEngine:
             raise SimulationError("a CEngine instance can only run once")
         self._finished = True
 
-        jobs = self._jobs
-        n = len(jobs)
+        n = len(self._jobs)
         is_leaf, speed, chain_off, chain_concat, enc = (
             self._is_leaf_a, self._speed_a, self._chain_off_a,
             self._chain_concat_a, self._enc_a,
@@ -582,35 +587,27 @@ class CEngine:
         if status != 0:
             raise SimulationError(f"engine kernel failed with status {status}")
 
-        # Per-job exact integrals, summed in arrival order.  The count
-        # and scalar columns drop to plain python lists up front so the
-        # loop touches no numpy scalars (tolist converts exactly).
-        frac = 0.0
-        alive_integral = 0.0
-        records: dict[int, JobRecord] = {}
-        paths = self._paths
-        pid_l = out_path_id.tolist()
-        avail_rows = out_avail.reshape(n, max_path)
-        comp_rows = out_comp.reshape(n, max_path)
-        avail_cnt = out_avail_cnt.tolist()
-        comp_cnt = out_comp_cnt.tolist()
-        deficit_l = out_deficit.tolist()
-        for i, job in enumerate(jobs):
-            path_ids = paths[pid_l[i]]
-            comp = comp_rows[i, : comp_cnt[i]].tolist()
-            rec = JobRecord(
-                job_id=job.id,
-                release=job.release,
-                leaf=path_ids[-1],
-                path=path_ids,
-                available_at=avail_rows[i, : avail_cnt[i]].tolist(),
-                completed_at=comp,
-            )
-            records[job.id] = rec
-            if len(comp) == len(path_ids) and comp:
-                flow = comp[-1] - job.release
-                alive_integral += flow
-                frac += flow - deficit_l[i]
+        # The output buffers become the result's columns as they are;
+        # JobRecords are built only if someone reads result.records.
+        records = RecordView(
+            jobs=self._jobs,
+            job_id=self._ids_a,
+            release=rel,
+            paths=self._paths,
+            path_id=out_path_id,
+            available_at=out_avail.reshape(n, max_path),
+            available_cnt=out_avail_cnt,
+            completed_at=out_comp.reshape(n, max_path),
+            completed_cnt=out_comp_cnt,
+            deficit=out_deficit,
+        )
+        columns = records.columns
+        finished = columns.finished
+        # Per-job exact integrals, summed left to right in arrival order
+        # (cumsum accumulates sequentially; np.sum would sum pairwise).
+        flow = columns.completion[finished] - rel[finished]
+        alive_integral = _sequential_sum(flow)
+        frac = _sequential_sum(flow - out_deficit[finished])
 
         result = SimulationResult(
             instance=self.instance,
@@ -627,3 +624,7 @@ class CEngine:
         result.verify_complete()
         return result
 
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, rounded after each add."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])

@@ -111,7 +111,28 @@ def find_compiler() -> str | None:
 
 
 def compiler_version(cc: str) -> str | None:
-    """First line of ``cc --version``, or ``None`` if it won't run."""
+    """First line of ``cc --version``, or ``None`` if it won't run.
+
+    Memoised per process on the resolved compiler path and its
+    ``os.stat`` identity (mtime, size, inode), so repeated kernel loads
+    spawn no process while a different ``REPRO_CC`` or a replaced
+    compiler binary is still probed afresh.
+    """
+    path = shutil.which(cc)
+    try:
+        st = os.stat(path) if path else None
+    except OSError:
+        st = None
+    if st is None:
+        return None  # not runnable: the probe below would fail too
+    key = (path, st.st_mtime_ns, st.st_size, st.st_ino)
+    if key not in _CC_VERSIONS:
+        _CC_VERSIONS[key] = _probe_version(cc)
+    return _CC_VERSIONS[key]
+
+
+def _probe_version(cc: str) -> str | None:
+    """Spawn ``cc --version`` and return its first line."""
     try:
         out = subprocess.run(
             [cc, "--version"], capture_output=True, text=True, timeout=30
@@ -195,6 +216,8 @@ _LOADED: dict[Path, ctypes.CDLL] = {}
 # Memoized availability probe: (ok, reason).  Reset by tests that
 # monkeypatch discovery.
 _PROBE: tuple[bool, str | None] | None = None
+# Memoized ``cc --version`` lines, keyed on (path, mtime_ns, size, inode).
+_CC_VERSIONS: dict[tuple, str | None] = {}
 
 
 def _configure(dll: ctypes.CDLL) -> ctypes.CDLL:
@@ -244,9 +267,11 @@ def availability() -> tuple[bool, str | None]:
 
 
 def _reset_probe() -> None:
-    """Forget the memoized availability verdict (test hook)."""
+    """Forget the memoized availability verdict and compiler versions
+    (test hook)."""
     global _PROBE
     _PROBE = None
+    _CC_VERSIONS.clear()
 
 
 def toolchain_info() -> dict:

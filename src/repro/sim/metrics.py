@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, SimulationError
 from repro.sim.result import JobRecord, SimulationResult
 from repro.workload.instance import Setting
 
@@ -45,8 +45,13 @@ def mean_flow_time(result: SimulationResult) -> float:
 
 
 def flow_time_per_job(result: SimulationResult) -> dict[int, float]:
-    """``job id -> C_j − r_j``."""
-    return {j: rec.flow_time for j, rec in result.records.items()}
+    """``job id -> C_j − r_j``, in record order; raises for the first
+    job that did not finish (a cancelled job included)."""
+    cols = result.columns
+    if not cols.finished.all():
+        job_id = int(cols.job_id[np.argmin(cols.finished)])
+        raise SimulationError(f"job {job_id} did not complete")
+    return dict(zip(cols.job_id.tolist(), (cols.completion - cols.release).tolist()))
 
 
 def max_stretch(result: SimulationResult) -> float:

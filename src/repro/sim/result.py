@@ -1,10 +1,19 @@
 """Simulation outputs: per-job records, schedule segments, and the
 :class:`SimulationResult` bundle consumed by metrics, analysis, and the
 dual-fitting machinery.
+
+Every flow reduction (flow times, completions, ``verify_complete``)
+reads one column store, :class:`ResultColumns`.  The compiled kernel's
+output becomes those columns with array operations, and its per-job
+:class:`JobRecord` objects are built only when someone reads
+``records`` (:class:`RecordView`); a python-engine result keeps the
+records it built and packs the columns from them once.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,8 +22,15 @@ from repro.exceptions import SimulationError
 from repro.sim.counters import EngineCounters
 from repro.sim.speed import SpeedProfile
 from repro.workload.instance import Instance
+from repro.workload.job import Job
 
-__all__ = ["JobRecord", "ScheduleSegment", "SimulationResult"]
+__all__ = [
+    "JobRecord",
+    "RecordView",
+    "ResultColumns",
+    "ScheduleSegment",
+    "SimulationResult",
+]
 
 
 @dataclass(slots=True)
@@ -104,6 +120,196 @@ class ScheduleSegment:
         return self.end - self.start
 
 
+@dataclass(slots=True, eq=False)
+class ResultColumns:
+    """The per-job columns every flow reduction reads.
+
+    One row per job, in the result's record order (the order
+    ``records`` iterates).  Both engines end up here: the compiled
+    kernel's output is reduced to these columns with array operations,
+    and a python-engine result packs them from its records on first
+    use.
+
+    Attributes
+    ----------
+    job_id:
+        Job ids (``int64``).
+    release:
+        Release times ``r_j``.
+    leaf:
+        The leaf each job was dispatched to (``int64``).
+    finished:
+        Whether the job completed on every node of its path.
+    cancelled:
+        Whether the job ended in the cancelled terminal state.
+    completion:
+        ``C_j`` (completion on the last node of the path) where
+        ``finished``, else NaN.
+    """
+
+    job_id: np.ndarray
+    release: np.ndarray
+    leaf: np.ndarray
+    finished: np.ndarray
+    cancelled: np.ndarray
+    completion: np.ndarray
+    _id_order: np.ndarray | slice | None = field(
+        default=None, init=False, repr=False
+    )
+
+    @classmethod
+    def pack(cls, records: Mapping[int, JobRecord]) -> "ResultColumns":
+        """Columns of ``records``, in their iteration order."""
+        recs = list(records.values())
+        n = len(recs)
+        finished = np.fromiter(
+            (len(r.completed_at) == len(r.path) for r in recs), bool, n
+        )
+        return cls(
+            job_id=np.fromiter((r.job_id for r in recs), np.int64, n),
+            release=np.fromiter((r.release for r in recs), np.float64, n),
+            leaf=np.fromiter((r.leaf for r in recs), np.int64, n),
+            finished=finished,
+            cancelled=np.fromiter(
+                (r.cancelled_at is not None for r in recs), bool, n
+            ),
+            completion=np.fromiter(
+                (
+                    r.completed_at[-1] if done and r.completed_at else math.nan
+                    for r, done in zip(recs, finished.tolist())
+                ),
+                np.float64,
+                n,
+            ),
+        )
+
+    def by_id(self) -> np.ndarray | slice:
+        """Row order that sorts the jobs by id (a plain slice when the
+        rows already are)."""
+        if self._id_order is None:
+            ids = self.job_id
+            if ids.size < 2 or bool(np.all(ids[1:] > ids[:-1])):
+                self._id_order = slice(None)
+            else:
+                self._id_order = np.argsort(ids, kind="stable")
+        return self._id_order
+
+    def stuck(self) -> np.ndarray:
+        """Mask of jobs in no terminal state: neither finished nor
+        cancelled."""
+        return ~(self.finished | self.cancelled)
+
+
+class RecordView(Mapping):
+    """``job id -> JobRecord`` over the compiled kernel's output rows.
+
+    The kernel's buffers are wrapped, not copied: row ``i`` is job
+    ``jobs[i]`` (id ``job_id[i]``, release ``release[i]``),
+    ``path_id[i]`` indexes ``paths``, and row ``i`` of
+    ``available_at``/``completed_at`` holds the job's first
+    ``available_cnt[i]``/``completed_cnt[i]`` hop times.  The
+    :class:`ResultColumns` the reductions read are derived from the rows
+    with array operations.  The :class:`JobRecord` objects are built on
+    first access to a record (one per row, in row order) and cached;
+    ``len()`` and the reductions never build them.  Equality compares
+    the records, so a view equals the dict the python engine builds for
+    the same schedule.
+    """
+
+    def __init__(
+        self,
+        *,
+        jobs: Sequence[Job],
+        job_id: np.ndarray,
+        release: np.ndarray,
+        paths: Sequence[tuple[int, ...]],
+        path_id: np.ndarray,
+        available_at: np.ndarray,
+        available_cnt: np.ndarray,
+        completed_at: np.ndarray,
+        completed_cnt: np.ndarray,
+        deficit: np.ndarray,
+    ) -> None:
+        self.jobs = jobs
+        self.paths = paths
+        self.path_id = path_id
+        self.available_at = available_at
+        self.available_cnt = available_cnt
+        self.completed_at = completed_at
+        self.completed_cnt = completed_cnt
+        #: Per-job ``flow - fractional flow`` (the kernel's
+        #: ``out_deficit``), for the fractional-flow integral.
+        self.deficit = deficit
+        n = len(job_id)
+        path_len = np.array([len(p) for p in paths], dtype=np.int64)
+        finished = completed_cnt == path_len[path_id]
+        last = completed_at[np.arange(n), np.maximum(completed_cnt - 1, 0)]
+        self.columns = ResultColumns(
+            job_id=job_id,
+            release=release,
+            leaf=np.array([p[-1] for p in paths], dtype=np.int64)[path_id],
+            finished=finished,
+            cancelled=np.zeros(n, dtype=bool),
+            completion=np.where(finished, last, np.nan),
+        )
+        self._records: dict[int, JobRecord] | None = None
+
+    def _build(self) -> dict[int, JobRecord]:
+        records = self._records
+        if records is None:
+            # Plain python lists up front, so the loop touches no numpy
+            # scalars (tolist converts exactly).  Ids and releases come
+            # from the jobs themselves, so the records share them.
+            paths = self.paths
+            pid = self.path_id.tolist()
+            avail_rows, comp_rows = self.available_at, self.completed_at
+            avail_cnt = self.available_cnt.tolist()
+            comp_cnt = self.completed_cnt.tolist()
+            records = {}
+            for i, job in enumerate(self.jobs):
+                path = paths[pid[i]]
+                records[job.id] = JobRecord(
+                    job_id=job.id,
+                    release=job.release,
+                    leaf=path[-1],
+                    path=path,
+                    available_at=avail_rows[i, : avail_cnt[i]].tolist(),
+                    completed_at=comp_rows[i, : comp_cnt[i]].tolist(),
+                )
+            self._records = records
+        return records
+
+    def __len__(self) -> int:
+        return len(self.columns.job_id)
+
+    def __getitem__(self, job_id: int) -> JobRecord:
+        return self._build()[job_id]
+
+    def __iter__(self):
+        return iter(self._build())
+
+    # The dict's own views: the Mapping mixins would look every key up
+    # a second time.
+    def keys(self):
+        return self._build().keys()
+
+    def items(self):
+        return self._build().items()
+
+    def values(self):
+        return self._build().values()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordView):
+            other = other._build()
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self._build() == (other if isinstance(other, dict) else dict(other))
+
+    def __repr__(self) -> str:
+        return f"RecordView(jobs={len(self)})"
+
+
 @dataclass
 class SimulationResult:
     """The full outcome of one simulation run.
@@ -115,7 +321,9 @@ class SimulationResult:
     speeds:
         The speed profile the algorithm ran with.
     records:
-        ``job id -> JobRecord`` for every released job.
+        ``job id -> JobRecord`` for every released job.  A dict for
+        python-engine results; for compiled-kernel results a
+        :class:`RecordView` that builds the records on first access.
     fractional_flow:
         The paper's fractional flow time: the exact integral of the sum
         over alive jobs of the remaining fraction on their assigned leaf.
@@ -128,8 +336,9 @@ class SimulationResult:
         Schedule segments if recording was enabled, else ``None``.
     counters:
         :class:`~repro.sim.counters.EngineCounters` for the run when the
-        engine collected them (``collect_counters=True`` or the global
-        switch), else ``None``.
+        engine collected them (``api.simulate(counters=True)``, or the
+        global switch :func:`~repro.sim.counters.enable_global_counters`),
+        else ``None``.
     trace:
         The structured :class:`~repro.obs.trace.SimulationTrace` when a
         :class:`~repro.obs.trace.TraceRecorder` was attached
@@ -146,7 +355,7 @@ class SimulationResult:
 
     instance: Instance
     speeds: SpeedProfile
-    records: dict[int, JobRecord]
+    records: Mapping[int, JobRecord]
     fractional_flow: float
     alive_integral: float
     num_events: int
@@ -155,11 +364,29 @@ class SimulationResult:
     trace: "SimulationTrace | None" = None
     backend: str = field(default="python", compare=False)
     fallback_reason: str | None = field(default=None, compare=False)
+    _columns: ResultColumns | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
+    @property
+    def columns(self) -> ResultColumns:
+        """The per-job columns the reductions read (packed from
+        ``records`` on first use unless the engine supplied them)."""
+        cols = self._columns
+        if cols is None:
+            recs = self.records
+            if isinstance(recs, RecordView):
+                cols = recs.columns
+            else:
+                cols = ResultColumns.pack(recs)
+            self._columns = cols
+        return cols
+
     def assignment(self) -> dict[int, int]:
         """``job id -> leaf id`` dispatch map."""
-        return {j: rec.leaf for j, rec in self.records.items()}
+        cols = self.columns
+        return dict(zip(cols.job_id.tolist(), cols.leaf.tolist()))
 
     def completed_records(self) -> dict[int, JobRecord]:
         """Only the jobs that finished — the whole record set for a full
@@ -174,22 +401,18 @@ class SimulationResult:
     def unfinished_job_ids(self) -> tuple[int, ...]:
         """Ids of admitted jobs still in flight (bounded-horizon runs);
         cancelled jobs are terminal, not in flight."""
-        return tuple(
-            sorted(
-                j
-                for j, rec in self.records.items()
-                if not rec.finished and not rec.cancelled
-            )
-        )
+        cols = self.columns
+        return tuple(sorted(cols.job_id[cols.stuck()].tolist()))
 
     def completions(self) -> dict[int, float]:
         """``job id -> C_j`` over finished jobs (cancelled jobs have no
         completion and are excluded)."""
-        return {
-            j: rec.completion
-            for j, rec in self.records.items()
-            if not rec.cancelled
-        }
+        cols = self.columns
+        _raise_first_unfinished(cols, cols.stuck())
+        keep = ~cols.cancelled
+        return dict(
+            zip(cols.job_id[keep].tolist(), cols.completion[keep].tolist())
+        )
 
     def flow_times(self) -> np.ndarray:
         """Per-job flow times in job-id order.
@@ -199,14 +422,15 @@ class SimulationResult:
         unfinished *non-cancelled* record still raises, exactly as
         before.
         """
-        return np.array(
-            [
-                self.records[j].flow_time
-                for j in sorted(self.records)
-                if not self.records[j].cancelled
-            ],
-            dtype=float,
-        )
+        cols = self.columns
+        order = cols.by_id()
+        _raise_first_unfinished(cols, cols.stuck(), order)
+        completion = cols.completion[order]
+        release = cols.release[order]
+        if cols.cancelled.any():
+            keep = ~cols.cancelled[order]
+            completion, release = completion[keep], release[keep]
+        return completion - release
 
     def total_flow_time(self) -> float:
         """``Σ_j (C_j − r_j)``."""
@@ -224,19 +448,19 @@ class SimulationResult:
 
     def makespan(self) -> float:
         """Latest completion time among finished jobs."""
-        return max(
-            (r.completion for r in self.records.values() if r.finished),
-            default=0.0,
-        )
+        cols = self.columns
+        done = cols.completion[cols.finished]
+        return float(done.max()) if done.size else 0.0
 
     def verify_complete(self) -> None:
         """Raise if any released job failed to reach a terminal state
         (finished, or cancelled by a dynamic event)."""
-        unfinished = [
-            j for j, r in self.records.items() if not r.finished and not r.cancelled
-        ]
-        if unfinished:
-            raise SimulationError(f"jobs did not complete: {unfinished[:10]}")
+        cols = self.columns
+        stuck = cols.stuck()
+        if stuck.any():
+            raise SimulationError(
+                f"jobs did not complete: {cols.job_id[stuck][:10].tolist()}"
+            )
 
     def __repr__(self) -> str:
         return (
@@ -245,3 +469,14 @@ class SimulationResult:
             f"fractional_flow={self.fractional_flow:.3f}, "
             f"events={self.num_events})"
         )
+
+
+def _raise_first_unfinished(
+    cols: ResultColumns, mask: np.ndarray, order: np.ndarray | slice = slice(None)
+) -> None:
+    """Raise :attr:`JobRecord.completion`'s error for the first job of
+    ``mask`` in row ``order``."""
+    hit = mask[order]
+    if hit.any():
+        job_id = int(cols.job_id[order][np.argmax(hit)])
+        raise SimulationError(f"job {job_id} did not complete")

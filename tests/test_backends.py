@@ -11,10 +11,12 @@ release burst.
 
 from __future__ import annotations
 
+import subprocess
+
 import pytest
 
 from repro import api
-from repro.analysis.experiments.workloads import identical_instance
+from repro.analysis.experiments.workloads import identical_instance, unrelated_instance
 from repro.baselines.policies import ClosestLeafAssignment, LeastLoadedAssignment
 from repro.core.assignment import GreedyIdenticalAssignment
 from repro.exceptions import SimulationError
@@ -22,6 +24,7 @@ from repro.network.builders import datacenter_tree
 from repro.sim import backends
 from repro.sim.backends import c_build
 from repro.sim.backends.c_backend import CEngine
+from repro.sim.result import RecordView
 from repro.sim.speed import SpeedProfile
 from repro.workload.instance import Instance, Setting
 from repro.workload.job import Job, JobSet
@@ -48,7 +51,13 @@ def _run(backend, **kwargs):
 
 
 def _assert_same_schedule(a, b):
-    assert set(a.records) == set(b.records)
+    # A C result's records are a view built on first access; it must
+    # equal the python engine's dict both ways, in the same order.
+    assert isinstance(b.records, RecordView)
+    assert len(b.records) == len(a.records)
+    assert b.records == a.records
+    assert a.records == b.records
+    assert list(b.records) == list(a.records)
     for jid, ra in a.records.items():
         rb = b.records[jid]
         assert rb.leaf == ra.leaf
@@ -89,6 +98,17 @@ class TestCrossBackendParity:
         inst = Instance(datacenter_tree(3, 3, 4), jobs, Setting.IDENTICAL)
         a = backends.simulate(inst, policy(), backend="python")
         b = backends.simulate(inst, policy(), backend="c")
+        assert b.backend == "c"
+        _assert_same_schedule(a, b)
+
+    @needs_c
+    def test_closest_leaf_unrelated_sizes(self):
+        # A kind-0 plan (closest-leaf replayed statically) on per-leaf
+        # sizes: the unrelated-setting leaf heaps order by p_leaf.
+        inst = unrelated_instance(datacenter_tree(3, 3, 4), 200, seed=5)
+        assert any(j.leaf_sizes for j in inst.jobs)
+        a = backends.simulate(inst, ClosestLeafAssignment(), backend="python")
+        b = backends.simulate(inst, ClosestLeafAssignment(), backend="c")
         assert b.backend == "c"
         _assert_same_schedule(a, b)
 
@@ -302,6 +322,35 @@ class TestBuildCache:
         assert c_build._cache_key("src2", "gcc 1.0", ("-O2",)) != base
         assert c_build._cache_key("src", "gcc 2.0", ("-O2",)) != base
         assert c_build._cache_key("src", "gcc 1.0", ("-O3",)) != base
+
+    @needs_c
+    def test_compiler_version_probed_once(self, monkeypatch, tmp_path):
+        probes = []
+        real_run = subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            if "--version" in cmd:
+                probes.append(cmd[0])
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(c_build.subprocess, "run", counting_run)
+        c_build._reset_probe()
+        try:
+            c_build.load_kernel()
+            c_build.load_kernel()
+            assert len(probes) == 1
+            # Another compiler command (a wrapper around the same one,
+            # so the same version line and cache slot) is probed afresh.
+            wrapper = tmp_path / "wrapped-cc"
+            wrapper.write_text(f'#!/bin/sh\nexec {c_build.find_compiler()} "$@"\n')
+            wrapper.chmod(0o755)
+            monkeypatch.setenv("REPRO_CC", str(wrapper))
+            c_build.load_kernel()
+            assert probes == [probes[0], str(wrapper)]
+            c_build.load_kernel()
+            assert len(probes) == 2
+        finally:
+            c_build._reset_probe()
 
     @needs_c
     def test_loaded_kernel_abi_matches(self):
