@@ -313,8 +313,8 @@ def simulate(
         variable, defaulting to ``"python"``.  One rule decides where a
         ``"c"`` run executes: the kernel, unless ``until``/``counters``/
         ``tracer`` is set or the kernel cannot express the call
-        (dynamic events, size estimates, segment recording, invariant
-        checks, custom priorities or policies), in which case the
+        (size estimates, segment recording, invariant checks, custom
+        priorities or policies), in which case the
         python engine runs the same schedule.  The result's
         ``backend`` and ``fallback_reason`` record which engine ran and
         why; see :mod:`repro.sim.backends`.
@@ -324,7 +324,7 @@ def simulate(
     events:
         An optional :class:`~repro.workload.events.EventSchedule` of
         dynamic events (node outages, cancellations) applied during
-        the run, always on the python engine.
+        the run, on either engine.
     """
     from repro.exceptions import SimulationError
     from repro.sim import backends

@@ -508,6 +508,10 @@ def _cmd_fuzz(args) -> int:
         f"elapsed={summary.elapsed_seconds:.1f}s "
         f"(stopped by {summary.stopped_by})"
     )
+    if args.backends:
+        print(f"c backend: {summary.c_compared} case(s) compared")
+        for reason, count in summary.c_declined.items():
+            print(f"  declined {count}: {reason}")
     if summary.ok:
         print("no disagreements found")
         return 0

@@ -19,10 +19,10 @@ One fallback rule, in :func:`simulate`: when the resolved backend is
 ``"c"`` and no event-order option is set (``observer``, ``tracer``,
 ``until``, engine counters), build a :class:`CEngine`.  If an
 event-order option is set, or the kernel's plan gate raises
-:class:`~repro.sim.backends.c_backend.CKernelInapplicable` (dynamic
-events, size estimates, segment recording, invariant checks, generic
-priorities, policies without a kernel plan), run the python engine
-instead.  The schedule is the same either way; the result records which
+:class:`~repro.sim.backends.c_backend.CKernelInapplicable` (size
+estimates, segment recording, invariant checks, generic priorities,
+origin-restricted greedy or least-loaded, policies without a kernel
+plan), run the python engine instead.  The schedule is the same either way; the result records which
 engine ran (``result.backend``) and why it is not the one selected
 (``result.fallback_reason``).
 

@@ -6,47 +6,56 @@ the contract:
 
 * **Plan** — decide whether a simulation is *expressible* as one kernel
   call.  The kernel natively replays the built-in priorities (SJF /
-  FIFO) and three policy shapes: statically-decidable assignments
-  (closest / random / round-robin / fixed — their choices depend only
-  on the instance, so they are precomputed by calling the real policy
-  object once per arrival, consuming its RNG/counter state exactly as a
-  live run would), the paper's greedy-identical rule, and the
-  least-loaded baseline.  Anything else — generic priority callables,
-  policies with dynamic state the kernel does not model, per-leaf-size
-  greedy, origin-restricted greedy/least-loaded, segment recording,
-  dynamic events, size estimates — raises :class:`CKernelInapplicable`
-  from the constructor, before any policy state is consumed, and
-  :func:`repro.sim.backends.simulate` runs the python engine instead
-  (same schedule, slower execution).
+  FIFO), dynamic event schedules (outages, repairs, cancellations) and
+  four policy shapes: statically-decidable assignments (closest /
+  random / round-robin / fixed — their choices depend only on the
+  instance, so they are precomputed by calling the real policy object
+  once per arrival, consuming its RNG/counter state exactly as a live
+  run would), the paper's greedy rules for identical and for unrelated
+  endpoints, and the least-loaded baseline; the greedy and least-loaded
+  kinds skip candidates behind an outage exactly as the policies do.
+  Anything else — generic priority callables, policies with dynamic
+  state the kernel does not model, origin-restricted greedy /
+  least-loaded, segment recording, size estimates — raises
+  :class:`CKernelInapplicable` from the constructor, before any policy
+  state is consumed, and :func:`repro.sim.backends.simulate` runs the
+  python engine instead (same schedule, slower execution).
 * **Marshal** — batch-precompute every input column as a numpy array
-  (``np.lexsort`` priority ranks, finished-tolerances and the preorder
-  topology), allocate every output buffer, and hand the kernel one
-  pointer-table struct (:class:`_KernelArgs`, field-for-field the C
-  ``KernelArgs``).
+  (``np.lexsort`` priority ranks, finished-tolerances, the preorder
+  topology, the per-leaf size matrix and the event columns), allocate
+  every output buffer, and hand the kernel one pointer-table struct
+  (:class:`_KernelArgs`, field-for-field the C ``KernelArgs``).
 * **Assemble** — wrap the output buffers, uncopied, as the
   :class:`~repro.sim.result.SimulationResult`'s columns
   (:class:`~repro.sim.result.ResultColumns` for the reductions, a
   :class:`~repro.sim.result.RecordView` that builds ``JobRecord``
-  objects only on first access), with the per-job flow integrals summed
-  left to right in arrival order (the python engine integrates them
-  event by event, so ``fractional_flow`` and ``alive_integral`` can
-  differ from its totals in the last bits).
+  objects only on first access), with the per-job flow integrals of
+  finished and cancelled jobs summed left to right in arrival order
+  (the python engine integrates them event by event, so
+  ``fractional_flow`` and ``alive_integral`` can differ from its totals
+  in the last bits).
 
-Schedule parity with the python engine — every leaf, hand-off and
-completion time — is exact (``==``), not tolerance-based: the kernel
-replays the same float ops in the same order (see the C source header
-for the three rules), and the fuzz battery (``repro fuzz --backends``)
-plus ``tests/test_backends.py`` enforce it.
+Schedule parity with the python engine — every leaf, hand-off,
+completion and cancel time — is exact (``==``), not tolerance-based:
+the kernel replays the same float ops in the same order (see the C
+source header for the rules), and the fuzz battery
+(``repro fuzz --backends``) plus ``tests/test_backends.py`` enforce it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-from repro.core.assignment import FixedAssignment, GreedyIdenticalAssignment
+from repro.core.assignment import (
+    FixedAssignment,
+    GreedyIdenticalAssignment,
+    GreedyUnrelatedAssignment,
+)
 from repro.baselines.policies import (
     ClosestLeafAssignment,
     LeastLoadedAssignment,
@@ -59,6 +68,7 @@ from repro.sim.engine import AssignmentPolicy, PriorityFn, fifo_priority, sjf_pr
 from repro.sim.result import RecordView, SimulationResult
 from repro.sim.speed import SpeedProfile
 from repro.sim.tolerances import REMAINING_ATOL, REMAINING_RTOL
+from repro.workload.events import Cancel, NodeDown, NodeUp
 from repro.workload.instance import Instance, Setting
 
 __all__ = ["CEngine", "CKernelInapplicable"]
@@ -74,6 +84,9 @@ _STATIC_POLICIES = (
     RoundRobinAssignment,
     FixedAssignment,
 )
+
+#: ``dyn_kind`` codes of ``engine_kernel.c``.
+_DYN_KIND = {NodeDown: 0, NodeUp: 1, Cancel: 2}
 
 
 class CKernelInapplicable(Exception):
@@ -98,7 +111,11 @@ class _KernelArgs(ctypes.Structure):
         ("n_tops", ctypes.c_int64),
         ("n_cands", ctypes.c_int64),
         ("n_paths", ctypes.c_int64),
+        ("n_uniq", ctypes.c_int64),
+        ("n_dyn", ctypes.c_int64),
         ("weight", ctypes.c_double),
+        ("ftol_atol", ctypes.c_double),
+        ("ftol_rtol", ctypes.c_double),
         ("chain_off", _i32p),
         ("chain_concat", _i32p),
         ("is_leaf", _u8p),
@@ -110,6 +127,7 @@ class _KernelArgs(ctypes.Structure):
         ("rel", _f64p),
         ("size", _f64p),
         ("ftol_size", _f64p),
+        ("job_id", _i64p),
         ("rank", _i64p),
         ("leaf_rank", _i64p),
         ("job_path_id", _i32p),
@@ -121,18 +139,29 @@ class _KernelArgs(ctypes.Structure):
         ("entry_tie_path", _i32p),
         ("entry_min_leaf_id", _i64p),
         ("entry_min_leaf_path", _i32p),
+        ("el_off", _i32p),
+        ("el_leaf_id", _i64p),
+        ("el_leaf_ni", _i32p),
+        ("el_steps", _f64p),
+        ("el_path", _i32p),
         ("tops_ni", _i32p),
         ("cand_leaf_id", _i64p),
         ("cand_leaf_ni", _i32p),
         ("cand_top_pos", _i32p),
         ("cand_d", _f64p),
         ("cand_path", _i32p),
+        ("leaf_p", _f64p),
+        ("leaf_p_uniq", _f64p),
+        ("dyn_time", _f64p),
+        ("dyn_kind", _i32p),
+        ("dyn_arg", _i32p),
         ("out_path_id", _i32p),
         ("out_avail", _f64p),
         ("out_avail_cnt", _i32p),
         ("out_comp", _f64p),
         ("out_comp_cnt", _i32p),
         ("out_deficit", _f64p),
+        ("out_cancel", _f64p),
         ("out_num_events", _i64p),
     ]
 
@@ -196,10 +225,6 @@ class CEngine:
             raise CKernelInapplicable(
                 "segment recording / invariant checks are not in the kernel"
             )
-        if events is not None and len(events):
-            raise CKernelInapplicable(
-                "dynamic events (outages/cancellations) are not in the kernel"
-            )
         if any(j.size_estimate is not None for j in instance.jobs):
             raise CKernelInapplicable(
                 "size estimates (masked assignment) are not in the kernel"
@@ -225,9 +250,6 @@ class CEngine:
 
         root = tree.root
         root_origins = all(j.origin is None or j.origin == root for j in jobs)
-        uniform_sizes = all(
-            j.leaf_sizes is None and math.isfinite(j.size) for j in jobs
-        )
         if type(policy) is GreedyIdenticalAssignment:
             if not (
                 self._prio_kind == 1
@@ -239,7 +261,14 @@ class CEngine:
                     "greedy-identical needs sjf + identical sizes + root origins"
                 )
             self._kind = 1
+        elif type(policy) is GreedyUnrelatedAssignment:
+            if not (root_origins and tree.root_children):
+                raise CKernelInapplicable("greedy-unrelated needs root origins")
+            self._kind = 3
         elif type(policy) is LeastLoadedAssignment:
+            uniform_sizes = all(
+                j.leaf_sizes is None and math.isfinite(j.size) for j in jobs
+            )
             if not (uniform_sizes and root_origins):
                 raise CKernelInapplicable(
                     "least-loaded needs uniform sizes + root origins"
@@ -251,6 +280,12 @@ class CEngine:
             raise CKernelInapplicable(
                 f"policy {type(policy).__name__} has no kernel plan"
             )
+        if events is not None and len(events):
+            events.validate_for(instance)
+            self._dyn = events.events
+        else:
+            self._dyn = ()
+        self._has_cancels = any(type(ev) is Cancel for ev in self._dyn)
 
         # The library is loaded (building it on first use) at plan time
         # so an unavailable compiler surfaces as CKernelUnavailable here,
@@ -282,25 +317,31 @@ class CEngine:
         self._pid_of: dict[tuple[int, ...], int] = {}
         self._leaf_pid: dict[int, int] = {}
         self._weight = 0.0
-        self._e_cols = self._ll_cols = None
+        self._e_cols = self._el_cols = self._ll_cols = None
+        self._leaf_p_a = self._leaf_p_uniq_a = None
         self._p_leaf_a = np.empty(n, dtype=np.float64)
         self._ftol_leaf_a = np.empty(n, dtype=np.float64)
         self._job_path_id_a = np.zeros(n, dtype=np.int32)
         self._leaf_rank_a: np.ndarray | None = None
         if self._kind != 0:
             # Identical-leaf settings: p_{j,leaf} == p_j for every leaf
-            # the policy can pick (kind gates enforce it).
+            # the policy can pick (kind gates enforce it); kind 3 sets
+            # its leaf columns in the kernel once the leaf is chosen.
             self._p_leaf_a[:] = size
             self._ftol_leaf_a[:] = self._ftol_size_a
             # With p_leaf == size, the leaf key (p_leaf, release, id) is
             # the SJF key, so the leaf rank is the priority rank; under
             # FIFO every node is encoded and leaf_rank is never read.
             self._leaf_rank_a = rank
-            if self._kind == 1:
-                self._e_cols = self._precompute_greedy()
+            if self._kind in (1, 3):
+                self._e_cols, self._el_cols = self._precompute_entries()
                 self._weight = float(policy.weight)
+                if self._kind == 3:
+                    self._leaf_p_a = self._leaf_size_matrix()
+                    self._leaf_p_uniq_a = np.unique(self._leaf_p_a)
             else:
                 self._ll_cols = self._precompute_least_loaded()
+        self._dyn_cols = self._event_columns() if self._dyn else None
 
     # ------------------------------------------------------------------
     # precompute
@@ -413,13 +454,16 @@ class CEngine:
             ft = REMAINING_RTOL * pl
             ftol_leaf[i] = ft if ft > REMAINING_ATOL else REMAINING_ATOL
 
-    def _precompute_greedy(self):
-        """Kind 1: the per-branch argmin records of
-        :meth:`GreedyIdenticalAssignment._entries_for` (root origin)."""
+    def _precompute_entries(self):
+        """Kinds 1 and 3: the per-branch argmin records of
+        :meth:`GreedyIdenticalAssignment._entries_for` (root origin),
+        plus every branch's ``(leaf, steps)`` list in ``leaves_under``
+        order (the down-aware filter and the unrelated scan walk it)."""
         tree = self.instance.tree
         root = tree.root
         root_depth = tree.depth(root)
         e_ni, e_steps, e_tie, e_tie_p, e_min, e_min_p = [], [], [], [], [], []
+        el_off, el_id, el_ni, el_steps, el_path = [0], [], [], [], []
         for entry in tree.children(root):
             pairs = [
                 (leaf, tree.depth(leaf) - root_depth)
@@ -435,6 +479,12 @@ class CEngine:
             e_tie_p.append(self._leaf_path_id(min_steps_leaf))
             e_min.append(min_leaf)
             e_min_p.append(self._leaf_path_id(min_leaf))
+            for leaf, steps in pairs:
+                el_id.append(leaf)
+                el_ni.append(self._ni_of[leaf])
+                el_steps.append(float(steps))
+                el_path.append(self._leaf_path_id(leaf))
+            el_off.append(len(el_id))
         return (
             np.array(e_ni, dtype=np.int32),
             np.array(e_steps, dtype=np.float64),
@@ -442,6 +492,59 @@ class CEngine:
             np.array(e_tie_p, dtype=np.int32),
             np.array(e_min, dtype=np.int64),
             np.array(e_min_p, dtype=np.int32),
+        ), (
+            np.array(el_off, dtype=np.int32),
+            np.array(el_id, dtype=np.int64),
+            np.array(el_ni, dtype=np.int32),
+            np.array(el_steps, dtype=np.float64),
+            np.array(el_path, dtype=np.int32),
+        )
+
+    def _leaf_size_matrix(self) -> np.ndarray:
+        """Kind 3: ``p_{j,v}`` for every job (rows, arrival order) and
+        leaf (columns, in the entry-leaf order the kernel scans), in one
+        pass over the jobs' size maps."""
+        jobs = self._jobs
+        leaves = self._el_cols[1].tolist()
+        n, n_leaves = len(jobs), len(leaves)
+        if self._identical:
+            return np.repeat(self._size_a, n_leaves)
+        row = itemgetter(*leaves)
+        if n_leaves == 1:
+            row = lambda sizes, get=row: (get(sizes),)  # noqa: E731
+        try:
+            return np.fromiter(
+                chain.from_iterable(map(row, (j.leaf_sizes for j in jobs))),
+                dtype=np.float64,
+                count=n * n_leaves,
+            )
+        except KeyError:
+            raise CKernelInapplicable(
+                "a job's leaf_sizes lacks a leaf of the tree"
+            ) from None
+
+    def _event_columns(self):
+        """The event schedule as kernel columns: time, kind, and the
+        node index (outages) or job row (cancels; -1 for ids the run
+        never admits)."""
+        events = self._dyn
+        count = len(events)
+        row_of: dict[int, int] = {}
+        if self._has_cancels:
+            row_of = dict(zip(self._ids_a.tolist(), range(len(self._jobs))))
+        ni_of = self._ni_of
+        return (
+            np.fromiter((ev.time for ev in events), np.float64, count),
+            np.fromiter((_DYN_KIND[type(ev)] for ev in events), np.int32, count),
+            np.fromiter(
+                (
+                    row_of.get(ev.job_id, -1) if type(ev) is Cancel
+                    else ni_of[ev.node]
+                    for ev in events
+                ),
+                np.int32,
+                count,
+            ),
         )
 
     def _precompute_least_loaded(self):
@@ -477,22 +580,13 @@ class CEngine:
         self._finished = True
 
         n = len(self._jobs)
-        is_leaf, speed, chain_off, chain_concat, enc = (
-            self._is_leaf_a, self._speed_a, self._chain_off_a,
-            self._chain_concat_a, self._enc_a,
-        )
-        n_nodes = len(self._order)
         rel = self._rel_a
-        size = self._size_a
-        ftol_size = self._ftol_size_a
-        rank = self._rank_a
         p_leaf = self._p_leaf_a
         ftol_leaf = self._ftol_leaf_a
         job_path_id = self._job_path_id_a
         kind = self._kind
-        weight = self._weight
-        e_cols = self._e_cols
-        ll_cols = self._ll_cols
+        e_cols, el_cols, ll_cols = self._e_cols, self._el_cols, self._ll_cols
+        dyn_cols = self._dyn_cols
 
         if kind == 0:
             # The policy replay lives in run(), not construction: it
@@ -521,6 +615,8 @@ class CEngine:
         out_comp = np.zeros(n * max_path, dtype=np.float64)
         out_comp_cnt = np.zeros(n, dtype=np.int32)
         out_deficit = np.zeros(n, dtype=np.float64)
+        # Cancel instants (NaN: not cancelled), only if a job can be.
+        out_cancel = np.full(n, np.nan) if self._has_cancels else None
         out_num_events = np.zeros(1, dtype=np.int64)
         if kind == 0:
             # Every path was chosen statically; echo them so result
@@ -530,9 +626,24 @@ class CEngine:
         i32, i64, u8, f64 = (
             ctypes.c_int32, ctypes.c_int64, ctypes.c_uint8, ctypes.c_double,
         )
+
+        def ptrs(cols, *types):
+            return (
+                [_ptr(c, t) for c, t in zip(cols, types)]
+                if cols else [None] * len(types)
+            )
+
+        entry_ptrs = ptrs(e_cols, i32, f64, i64, i32, i64, i32)
+        el_ptrs = ptrs(el_cols, i32, i64, i32, f64, i32)
+        ll_ptrs = ptrs(ll_cols, i32, i64, i32, i32, f64, i32)
+        dyn_ptrs = ptrs(dyn_cols, f64, i32, i32)
+        leaf_p_ptrs = ptrs(
+            (self._leaf_p_a, self._leaf_p_uniq_a) if kind == 3 else None,
+            f64, f64,
+        )
         args = _KernelArgs(
             n_jobs=n,
-            n_nodes=n_nodes,
+            n_nodes=len(self._order),
             max_path=max_path,
             max_events=self.max_events,
             policy_kind=kind,
@@ -541,41 +652,57 @@ class CEngine:
             n_tops=len(ll_cols[0]) if ll_cols else 0,
             n_cands=len(ll_cols[1]) if ll_cols else 0,
             n_paths=len(self._paths),
-            weight=weight,
-            chain_off=_ptr(chain_off, i32),
-            chain_concat=_ptr(chain_concat, i32),
-            is_leaf=_ptr(is_leaf, u8),
-            enc=_ptr(enc, u8),
-            speed=_ptr(speed, f64),
+            n_uniq=len(self._leaf_p_uniq_a) if kind == 3 else 0,
+            n_dyn=len(self._dyn),
+            weight=self._weight,
+            ftol_atol=REMAINING_ATOL,
+            ftol_rtol=REMAINING_RTOL,
+            chain_off=_ptr(self._chain_off_a, i32),
+            chain_concat=_ptr(self._chain_concat_a, i32),
+            is_leaf=_ptr(self._is_leaf_a, u8),
+            enc=_ptr(self._enc_a, u8),
+            speed=_ptr(self._speed_a, f64),
             path_off=_ptr(path_off, i32),
             path_len=_ptr(path_len, i32),
             path_concat=_ptr(path_concat, i32),
             rel=_ptr(rel, f64),
-            size=_ptr(size, f64),
-            ftol_size=_ptr(ftol_size, f64),
-            rank=_ptr(rank, i64),
+            size=_ptr(self._size_a, f64),
+            ftol_size=_ptr(self._ftol_size_a, f64),
+            job_id=_ptr(self._ids_a, i64),
+            rank=_ptr(self._rank_a, i64),
             leaf_rank=_ptr(leaf_rank, i64),
             job_path_id=_ptr(job_path_id, i32),
             p_leaf_in=_ptr(p_leaf, f64),
             ftol_leaf_in=_ptr(ftol_leaf, f64),
-            entry_ni=_ptr(e_cols[0], i32) if e_cols else None,
-            entry_min_steps=_ptr(e_cols[1], f64) if e_cols else None,
-            entry_tie_leaf_id=_ptr(e_cols[2], i64) if e_cols else None,
-            entry_tie_path=_ptr(e_cols[3], i32) if e_cols else None,
-            entry_min_leaf_id=_ptr(e_cols[4], i64) if e_cols else None,
-            entry_min_leaf_path=_ptr(e_cols[5], i32) if e_cols else None,
-            tops_ni=_ptr(ll_cols[0], i32) if ll_cols else None,
-            cand_leaf_id=_ptr(ll_cols[1], i64) if ll_cols else None,
-            cand_leaf_ni=_ptr(ll_cols[2], i32) if ll_cols else None,
-            cand_top_pos=_ptr(ll_cols[3], i32) if ll_cols else None,
-            cand_d=_ptr(ll_cols[4], f64) if ll_cols else None,
-            cand_path=_ptr(ll_cols[5], i32) if ll_cols else None,
+            entry_ni=entry_ptrs[0],
+            entry_min_steps=entry_ptrs[1],
+            entry_tie_leaf_id=entry_ptrs[2],
+            entry_tie_path=entry_ptrs[3],
+            entry_min_leaf_id=entry_ptrs[4],
+            entry_min_leaf_path=entry_ptrs[5],
+            el_off=el_ptrs[0],
+            el_leaf_id=el_ptrs[1],
+            el_leaf_ni=el_ptrs[2],
+            el_steps=el_ptrs[3],
+            el_path=el_ptrs[4],
+            tops_ni=ll_ptrs[0],
+            cand_leaf_id=ll_ptrs[1],
+            cand_leaf_ni=ll_ptrs[2],
+            cand_top_pos=ll_ptrs[3],
+            cand_d=ll_ptrs[4],
+            cand_path=ll_ptrs[5],
+            leaf_p=leaf_p_ptrs[0],
+            leaf_p_uniq=leaf_p_ptrs[1],
+            dyn_time=dyn_ptrs[0],
+            dyn_kind=dyn_ptrs[1],
+            dyn_arg=dyn_ptrs[2],
             out_path_id=_ptr(out_path_id, i32),
             out_avail=_ptr(out_avail, f64),
             out_avail_cnt=_ptr(out_avail_cnt, i32),
             out_comp=_ptr(out_comp, f64),
             out_comp_cnt=_ptr(out_comp_cnt, i32),
             out_deficit=_ptr(out_deficit, f64),
+            out_cancel=None if out_cancel is None else _ptr(out_cancel, f64),
             out_num_events=_ptr(out_num_events, i64),
         )
         status = self._dll.repro_run(ctypes.byref(args))
@@ -600,14 +727,20 @@ class CEngine:
             completed_at=out_comp.reshape(n, max_path),
             completed_cnt=out_comp_cnt,
             deficit=out_deficit,
+            cancelled_at=out_cancel,
         )
         columns = records.columns
-        finished = columns.finished
-        # Per-job exact integrals, summed left to right in arrival order
+        # Per-job exact integrals up to each job's terminal instant
+        # (completion or cancel), summed left to right in arrival order
         # (cumsum accumulates sequentially; np.sum would sum pairwise).
-        flow = columns.completion[finished] - rel[finished]
+        done = columns.finished
+        end = columns.completion
+        if columns.cancelled.any():
+            done = done | columns.cancelled
+            end = np.where(columns.finished, end, out_cancel)
+        flow = end[done] - rel[done]
         alive_integral = _sequential_sum(flow)
-        frac = _sequential_sum(flow - out_deficit[finished])
+        frac = _sequential_sum(flow - out_deficit[done])
 
         result = SimulationResult(
             instance=self.instance,

@@ -29,6 +29,9 @@ so editing the source, switching compilers, changing flags or bumping
 the ABI each land in a fresh cache slot — a stale ``.so`` can never be
 loaded.  As a second line of defence the loaded library's
 ``repro_abi_version()`` export is checked against :data:`ABI_VERSION`.
+The shipped source's digest and the compiler's version line are
+memoised per process on the files' ``os.stat`` identity, so a repeated
+lookup reads and hashes nothing and spawns no process.
 
 **Availability.**  Everything degrades gracefully: no compiler on PATH
 (or ``REPRO_NO_CKERNEL=1``, the explicit opt-out) means
@@ -64,7 +67,7 @@ __all__ = [
 #: Kernel ABI version; must match ``REPRO_KERNEL_ABI`` in the C source.
 #: Part of the cache key *and* verified against the loaded library's
 #: ``repro_abi_version()`` export.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 #: Compiler commands tried in order when ``REPRO_CC`` is unset.
 _CANDIDATE_CCS = ("cc", "gcc", "clang")
@@ -78,9 +81,12 @@ class CKernelUnavailable(RuntimeError):
     """The compiled kernel cannot be built or loaded on this machine."""
 
 
+_SOURCE = Path(__file__).resolve().parent / "engine_kernel.c"
+
+
 def source_path() -> Path:
     """Path of the kernel's C source, shipped next to this module."""
-    return Path(__file__).resolve().parent / "engine_kernel.c"
+    return _SOURCE
 
 
 def base_cflags() -> tuple[str, ...]:
@@ -154,12 +160,31 @@ def cache_dir() -> Path:
 
 
 def _cache_key(source_text: str, cc_version: str, flags: tuple[str, ...]) -> str:
+    return _slot_key(_digest(source_text), cc_version, flags)
+
+
+def _digest(source_text: str) -> str:
+    return hashlib.sha256(source_text.encode()).hexdigest()
+
+
+def _slot_key(source_digest: str, cc_version: str, flags: tuple[str, ...]) -> str:
     h = hashlib.sha256()
     h.update(f"abi={ABI_VERSION}\n".encode())
     h.update(f"cc={cc_version}\n".encode())
     h.update(("flags=" + " ".join(flags) + "\n").encode())
-    h.update(source_text.encode())
+    h.update(source_digest.encode())
     return h.hexdigest()[:32]
+
+
+def _shipped_digest() -> str:
+    """Digest of the shipped source, memoised on its ``os.stat``
+    identity (path, mtime, size, inode) so an edit is still seen."""
+    st = os.stat(_SOURCE)
+    key = (str(_SOURCE), st.st_mtime_ns, st.st_size, st.st_ino)
+    digest = _SRC_DIGESTS.get(key)
+    if digest is None:
+        digest = _SRC_DIGESTS[key] = _digest(_SOURCE.read_text())
+    return digest
 
 
 def build_library(
@@ -180,16 +205,16 @@ def build_library(
         raise CKernelUnavailable(
             "no C compiler found (set REPRO_CC, or unset REPRO_NO_CKERNEL)"
         )
-    if source_text is None:
-        source_text = source_path().read_text()
     cc_version = compiler_version(cc)
     if cc_version is None:
         raise CKernelUnavailable(f"compiler {cc!r} does not run (--version failed)")
     flags = base_cflags()
-    key = _cache_key(source_text, cc_version, flags)
-    lib = cache_dir() / f"engine_kernel-{key}.so"
+    digest = _shipped_digest() if source_text is None else _digest(source_text)
+    lib = cache_dir() / f"engine_kernel-{_slot_key(digest, cc_version, flags)}.so"
     if lib.exists():
         return lib
+    if source_text is None:
+        source_text = _SOURCE.read_text()
     lib.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
         src = Path(tmp) / "engine_kernel.c"
@@ -216,8 +241,10 @@ _LOADED: dict[Path, ctypes.CDLL] = {}
 # Memoized availability probe: (ok, reason).  Reset by tests that
 # monkeypatch discovery.
 _PROBE: tuple[bool, str | None] | None = None
-# Memoized ``cc --version`` lines, keyed on (path, mtime_ns, size, inode).
+# Memoized ``cc --version`` lines and shipped-source digests, keyed on
+# (path, mtime_ns, size, inode).
 _CC_VERSIONS: dict[tuple, str | None] = {}
+_SRC_DIGESTS: dict[tuple, str] = {}
 
 
 def _configure(dll: ctypes.CDLL) -> ctypes.CDLL:
@@ -267,11 +294,12 @@ def availability() -> tuple[bool, str | None]:
 
 
 def _reset_probe() -> None:
-    """Forget the memoized availability verdict and compiler versions
-    (test hook)."""
+    """Forget the memoized availability verdict, compiler versions and
+    source digests (test hook)."""
     global _PROBE
     _PROBE = None
     _CC_VERSIONS.clear()
+    _SRC_DIGESTS.clear()
 
 
 def toolchain_info() -> dict:

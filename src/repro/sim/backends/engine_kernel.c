@@ -24,9 +24,19 @@
  *      iterates the heap in array order — the same comparison outcomes
  *      must produce the same array layout as the engine's heap.
  *   3. Heap entries are packed int64s `(rank << 32) | job_index`.
- *      Ranks are unique per node, so packed comparisons order exactly
- *      like the engine's `(priority key, job id)` tuples, and the
- *      payload decodes in O(1).
+ *      Ranks are unique per node — except kind 3's unrelated leaf
+ *      ranks, which tie exactly when the leaf sizes do, and there the
+ *      job index (rows are in (release, id) order) breaks the tie — so
+ *      packed comparisons order exactly like the engine's
+ *      `(priority key, job id)` tuples, and the payload decodes in O(1).
+ *
+ * Dynamic events (NodeDown / NodeUp / Cancel) are a second sorted input
+ * merged into the arrival loop with the engine's tie rule: completions,
+ * then dynamic events, then arrivals.  Each event first syncs the chain
+ * it touches to its instant, so the lazy sweep stays invisible.  A down
+ * node is marked by the `DOWN` sentinel in `actives`: it only absorbs
+ * pushes until its NodeUp, and the event-free hot paths pay nothing for
+ * the check (their idle tests compare against `IDLE` exactly).
  *
  * The Python side (`c_backend.py`) precomputes every input column,
  * allocates every output buffer, and assembles `SimulationResult`; the
@@ -43,7 +53,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_KERNEL_ABI 2
+#define REPRO_KERNEL_ABI 3
 
 #define IDX_MASK 0xffffffffLL
 
@@ -56,19 +66,33 @@
 #define ST_NOMEM 2
 #define ST_BAD_ARGS 3
 
+/* `actives` values that are not job indices. */
+#define IDLE (-1L)
+#define DOWN (-2L)
+
+/* Dynamic event kinds (the `dyn_kind` column). */
+#define DYN_DOWN 0
+#define DYN_UP 1
+#define DYN_CANCEL 2
+
 typedef struct {
     /* sizes and limits */
     int64_t n_jobs;
     int64_t n_nodes;
     int64_t max_path;
     int64_t max_events;
-    int64_t policy_kind; /* 0 fixed, 1 greedy-identical, 2 least-loaded */
+    int64_t policy_kind; /* 0 fixed, 1 greedy-identical, 2 least-loaded,
+                            3 greedy-unrelated */
     int64_t use_agg;     /* maintain congestion aggregates (kind 2) */
     int64_t n_entries;
     int64_t n_tops;
     int64_t n_cands;
     int64_t n_paths;
-    double weight; /* greedy 6/eps^2 */
+    int64_t n_uniq; /* kind 3: distinct per-leaf sizes */
+    int64_t n_dyn;  /* dynamic events */
+    double weight;  /* greedy 6/eps^2 */
+    double ftol_atol; /* finished_tol(p) = max(atol, rtol * p) */
+    double ftol_rtol;
     /* topology (dense preorder node index, root excluded) */
     const int32_t *chain_off;    /* [n_nodes + 1] */
     const int32_t *chain_concat; /* ancestor chains, root-adjacent..node */
@@ -83,8 +107,9 @@ typedef struct {
     const double *rel;        /* [n_jobs] */
     const double *size;       /* [n_jobs] */
     const double *ftol_size;  /* [n_jobs] */
+    const int64_t *job_id;    /* [n_jobs] */
     const int64_t *rank;      /* [n_jobs] node-key rank (sjf or fifo) */
-    const int64_t *leaf_rank; /* [n_jobs] leaf-key rank (unrelated sjf) */
+    const int64_t *leaf_rank; /* [n_jobs] leaf-key rank (kinds 0-2) */
     /* policy kind 0: precomputed per-job assignment */
     const int32_t *job_path_id; /* [n_jobs] */
     const double *p_leaf_in;    /* [n_jobs] */
@@ -96,6 +121,12 @@ typedef struct {
     const int32_t *entry_tie_path;      /* [n_entries] its path id */
     const int64_t *entry_min_leaf_id;   /* [n_entries] weight_p==0 leaf */
     const int32_t *entry_min_leaf_path; /* [n_entries] its path id */
+    /* kinds 1 and 3: every leaf per entry, in leaves_under order */
+    const int32_t *el_off;     /* [n_entries + 1] */
+    const int64_t *el_leaf_id; /* [n_leaves] */
+    const int32_t *el_leaf_ni; /* [n_leaves] */
+    const double *el_steps;    /* [n_leaves] depth below the root */
+    const int32_t *el_path;    /* [n_leaves] path id */
     /* policy kind 2: least-loaded candidate layout */
     const int32_t *tops_ni;      /* [n_tops] root children, in order */
     const int64_t *cand_leaf_id; /* [n_cands] */
@@ -103,6 +134,13 @@ typedef struct {
     const int32_t *cand_top_pos; /* [n_cands] index into tops */
     const double *cand_d;        /* [n_cands] d_v as a double */
     const int32_t *cand_path;    /* [n_cands] path id */
+    /* policy kind 3: p_{j,v}, row j in el (entry-leaf) column order */
+    const double *leaf_p;      /* [n_jobs * n_leaves] */
+    const double *leaf_p_uniq; /* [n_uniq] sorted distinct values */
+    /* dynamic events, in the schedule's canonical order */
+    const double *dyn_time; /* [n_dyn] */
+    const int32_t *dyn_kind; /* [n_dyn] DYN_* */
+    const int32_t *dyn_arg;  /* [n_dyn] node index, or job row (-1: none) */
     /* outputs (allocated by Python) */
     int32_t *out_path_id;    /* [n_jobs] chosen path per job */
     double *out_avail;       /* [n_jobs * max_path] */
@@ -110,6 +148,8 @@ typedef struct {
     double *out_comp;        /* [n_jobs * max_path] */
     int32_t *out_comp_cnt;   /* [n_jobs] */
     double *out_deficit;     /* [n_jobs] */
+    double *out_cancel;      /* [n_jobs] cancel instants (NaN-filled by
+                                Python; NULL without cancels) */
     int64_t *out_num_events; /* [1] */
 } KernelArgs;
 
@@ -124,9 +164,7 @@ typedef struct {
  * columns, plus one growable heap and pending list per node). */
 typedef struct {
     const KernelArgs *a;
-    long m;  /* n_nodes */
     long mp; /* max_path */
-    double now;
     long num_events;
     int status;
     /* per node */
@@ -152,9 +190,25 @@ typedef struct {
     double *p_leaf;
     double *ftol_leaf;
     double *prev_end;
+    const int64_t *lrank; /* leaf-key rank: leaf_rank, or kind 3's own */
     /* policy scratch */
     double *bases;    /* n_entries */
     double *top_load; /* n_tops */
+    long n_leaves;    /* entries' leaves (el columns) */
+    long n_down;      /* nodes currently down */
+    /* kind 1 under outages: per-entry records over unblocked leaves */
+    long *f_kept;
+    double *f_steps;
+    int64_t *f_tie_leaf;
+    int32_t *f_tie_path;
+    int64_t *f_min_leaf;
+    int32_t *f_min_path;
+    /* kind 3: alive jobs per leaf, ascending job id (finished and
+     * cancelled rows are dropped lazily by the F' scan) */
+    int32_t **alive;
+    long *alive_len;
+    long *alive_cap;
+    int64_t *lrank3; /* [n_jobs] */
 } K;
 
 int repro_abi_version(void) { return REPRO_KERNEL_ABI; }
@@ -177,15 +231,13 @@ static inline void hpush(int64_t *h, long *len, int64_t item) {
     h[pos] = item;
 }
 
-static inline void hpop(int64_t *h, long *len) {
-    /* heappop with the return value discarded: pop the last element,
-     * move it to the root, _siftup(heap, 0). */
-    int64_t newitem = h[--(*len)];
-    long endpos = *len;
-    if (endpos == 0)
-        return;
-    long pos = 0;
-    long childpos = 1;
+/* _siftup(heap, pos) with slot `pos` vacated and `newitem` to place:
+ * walk the smaller child up to a leaf, then _siftdown back towards
+ * `pos`. */
+static inline void siftup_item(int64_t *h, long endpos, long pos,
+                               int64_t newitem) {
+    long startpos = pos;
+    long childpos = 2 * pos + 1;
     while (childpos < endpos) {
         long rightpos = childpos + 1;
         if (rightpos < endpos && !(h[childpos] < h[rightpos]))
@@ -195,8 +247,8 @@ static inline void hpop(int64_t *h, long *len) {
         childpos = 2 * pos + 1;
     }
     h[pos] = newitem;
-    /* _siftdown(heap, 0, pos) */
-    while (pos > 0) {
+    /* _siftdown(heap, startpos, pos) */
+    while (pos > startpos) {
         long parentpos = (pos - 1) >> 1;
         int64_t parent = h[parentpos];
         if (newitem < parent) {
@@ -207,6 +259,22 @@ static inline void hpop(int64_t *h, long *len) {
         break;
     }
     h[pos] = newitem;
+}
+
+static inline void hpop(int64_t *h, long *len) {
+    /* heappop with the return value discarded: pop the last element,
+     * move it to the root, _siftup(heap, 0). */
+    int64_t newitem = h[--(*len)];
+    if (*len)
+        siftup_item(h, *len, 0, newitem);
+}
+
+/* heapify: _siftup every parent, last first.  (CPython's cache-friendly
+ * variant for large heaps visits the same nodes children-first too, so
+ * it builds the same array.) */
+static void heapify(int64_t *h, long len) {
+    for (long i = len / 2 - 1; i >= 0; i--)
+        siftup_item(h, len, i, h[i]);
 }
 
 /* ---- small helpers --------------------------------------------------- */
@@ -268,7 +336,7 @@ static inline int pend_push(K *k, long ni, double t, int64_t key) {
 static inline void emit(K *k, long nxt, double t, long ji, int allow_fused) {
     const KernelArgs *a = k->a;
     if (a->enc[nxt]) {
-        if (allow_fused && k->actives[nxt] < 0 && k->heap_len[nxt] == 0 &&
+        if (allow_fused && k->actives[nxt] == IDLE && k->heap_len[nxt] == 0 &&
             k->pis[nxt] >= k->pend_len[nxt]) {
             /* Fused admission: idle child with every prior admission
              * consumed — place the run directly (state-identical to
@@ -288,7 +356,7 @@ static inline void emit(K *k, long nxt, double t, long ji, int allow_fused) {
     }
     /* Unrelated-setting SJF leaves order by (p_leaf, release, id); the
      * per-leaf rank orders identically. */
-    int64_t rank = a->enc[nxt] ? a->rank[ji] : a->leaf_rank[ji];
+    int64_t rank = a->enc[nxt] ? a->rank[ji] : k->lrank[ji];
     if (!pend_push(k, nxt, t, pack(rank, ji)))
         return;
     if (t < k->node_next[nxt])
@@ -366,6 +434,28 @@ static inline void drain_job(K *k, long ni, long ti, double t, int is_leaf,
 
 /* ---- the batched per-node sweep ------------------------------------- */
 
+/* A down node only accepts pushes (the engine's down-branch enqueue):
+ * absorb the admissions due by `limit`, serve nothing. */
+static void absorb_down(K *k, long ni, double limit) {
+    const Pend *pend = k->pend[ni];
+    long pi = k->pis[ni];
+    long npend = k->pend_len[ni];
+    long hlen = k->heap_len[ni];
+    int64_t *heap = k->heap[ni];
+    while (pi < npend && pend[pi].t <= limit) {
+        int64_t key = pend[pi].key;
+        if (!(heap = heap_room(k, ni, hlen)))
+            break;
+        hpush(heap, &hlen, key);
+        if (k->a->use_agg)
+            k->qv[ni] += k->rem[key & IDX_MASK];
+        pi += 1;
+    }
+    k->pis[ni] = pi;
+    k->heap_len[ni] = hlen;
+    k->node_next[ni] = pi < npend ? pend[pi].t : INFINITY;
+}
+
 /* Process node ni's completions and admissions due at or before
  * `limit`.  Emissions land on ni's children, never on ni, so its
  * pending list cannot change under the loop. */
@@ -417,6 +507,10 @@ static void advance_node(K *k, long ni, double limit) {
             return;
         }
         k->node_next[ni] = active >= 0 ? astart + arem / speed : INFINITY;
+        return;
+    }
+    if (active == DOWN) {
+        absorb_down(k, ni, limit);
         return;
     }
 
@@ -553,6 +647,79 @@ static inline void sync_chain(K *k, long ni, double now) {
     }
 }
 
+/* ---- settle, drain, rearm at one instant ----------------------------- */
+
+/* Fold node ni's active run into its remaining work at instant t (the
+ * engine's _settle); the node is left without an active job. */
+static void settle(K *k, long ni, double t) {
+    long active = k->actives[ni];
+    if (active < 0)
+        return;
+    const KernelArgs *a = k->a;
+    double astart = k->astarts[ni];
+    double arem = k->arems[ni];
+    double elapsed = t - astart;
+    if (elapsed > 0.0) {
+        double new_rem = arem - a->speed[ni] * elapsed;
+        if (new_rem < 0.0)
+            new_rem = 0.0;
+        if (a->use_agg) {
+            double delta = arem - new_rem;
+            if (delta != 0.0) {
+                k->tv[ni] -= delta;
+                k->qv[ni] -= delta;
+            }
+        }
+        k->rem[active] = new_rem;
+        if (a->is_leaf[ni]) {
+            double pl = k->p_leaf[active];
+            a->out_deficit[active] +=
+                (pl - arem) / pl * (astart - k->prev_end[active]) +
+                (2.0 * pl - arem - new_rem) / (2.0 * pl) * (t - astart);
+            k->prev_end[active] = t;
+        }
+    } else {
+        k->rem[active] = arem;
+    }
+    k->actives[ni] = IDLE;
+}
+
+/* Complete the finished jobs stranded at node ni's heap top at instant
+ * t (no fused admission: emissions append to the pending lists). */
+static void drain_top(K *k, long ni, double t) {
+    const KernelArgs *a = k->a;
+    int64_t *heap = k->heap[ni];
+    long hlen = k->heap_len[ni];
+    int is_leaf = a->is_leaf[ni];
+    const double *ftol = is_leaf ? k->ftol_leaf : a->ftol_size;
+    while (hlen) {
+        long ti = (long)(heap[0] & IDX_MASK);
+        if (k->rem[ti] > ftol[ti])
+            break;
+        hpop(heap, &hlen);
+        k->heap_len[ni] = hlen;
+        drain_job(k, ni, ti, t, is_leaf, (int)a->use_agg, 0);
+    }
+}
+
+/* Start node ni's heap top at instant t (the engine's _rearm) and
+ * recompute the node's next-event time. */
+static void rearm(K *k, long ni, double t) {
+    double nn = INFINITY;
+    if (k->heap_len[ni]) {
+        long active = (long)(k->heap[ni][0] & IDX_MASK);
+        k->actives[ni] = active;
+        k->astarts[ni] = t;
+        double arem = k->rem[active];
+        k->arems[ni] = arem;
+        nn = t + arem / k->a->speed[ni];
+    }
+    long pi = k->pis[ni];
+    if (pi < k->pend_len[ni] && k->pend[ni][pi].t < nn)
+        nn = k->pend[ni][pi].t;
+    k->node_next[ni] = nn;
+}
+
 /* ---- direct admission ------------------------------------------------ */
 
 /* Admit job i at node ni at instant t, settling and preempting the
@@ -561,83 +728,24 @@ static void admit_now(K *k, long ni, double t, long i) {
     if (k->status)
         return;
     const KernelArgs *a = k->a;
-    int64_t *heap = k->heap[ni];
-    long hlen = k->heap_len[ni];
-    int enc = a->enc[ni];
-    double *rem = k->rem;
-    int agg = (int)a->use_agg;
-    int64_t key = enc ? pack(a->rank[i], i) : pack(a->leaf_rank[i], i);
+    int64_t key = a->enc[ni] ? pack(a->rank[i], i) : pack(k->lrank[i], i);
     long active = k->actives[ni];
-    double speed = a->speed[ni];
-    int is_leaf = a->is_leaf[ni];
-    if (active >= 0) {
-        double astart = k->astarts[ni];
-        double arem = k->arems[ni];
-        if (heap[0] < key) {
-            /* Incumbent outranks the newcomer: run continues unbroken,
-             * so the node's next event is unchanged. */
-            if (!(heap = heap_room(k, ni, hlen)))
-                return;
-            hpush(heap, &hlen, key);
-            k->heap_len[ni] = hlen;
-            if (agg)
-                k->qv[ni] += rem[i];
-            return;
-        }
-        /* Settle the preempted run. */
-        double elapsed = t - astart;
-        if (elapsed > 0.0) {
-            double new_rem = arem - speed * elapsed;
-            if (new_rem < 0.0)
-                new_rem = 0.0;
-            if (agg) {
-                double delta = arem - new_rem;
-                if (delta != 0.0) {
-                    k->tv[ni] -= delta;
-                    k->qv[ni] -= delta;
-                }
-            }
-            rem[active] = new_rem;
-            if (is_leaf) {
-                double pl = k->p_leaf[active];
-                a->out_deficit[active] +=
-                    (pl - arem) / pl * (astart - k->prev_end[active]) +
-                    (2.0 * pl - arem - new_rem) / (2.0 * pl) * (t - astart);
-                k->prev_end[active] = t;
-            }
-        } else {
-            rem[active] = arem;
-        }
+    /* Push only: a down node, or an incumbent that outranks the
+     * newcomer (its run continues unbroken, so the node's next event
+     * is unchanged). */
+    int push_only = active == DOWN || (active >= 0 && k->heap[ni][0] < key);
+    if (!push_only) {
+        settle(k, ni, t);
+        drain_top(k, ni, t);
     }
-    /* Drain finished jobs stranded at the heap top (no fused admission
-     * here: emissions always append to the pending list). */
-    if (hlen) {
-        const double *ftol = is_leaf ? k->ftol_leaf : a->ftol_size;
-        while (hlen) {
-            long ti = (long)(heap[0] & IDX_MASK);
-            if (rem[ti] > ftol[ti])
-                break;
-            hpop(heap, &hlen);
-            drain_job(k, ni, ti, t, is_leaf, agg, 0);
-        }
-    }
-    /* Push the newcomer and rearm the (possibly new) top. */
-    if (!(heap = heap_room(k, ni, hlen)))
+    int64_t *heap = heap_room(k, ni, k->heap_len[ni]);
+    if (!heap)
         return;
-    hpush(heap, &hlen, key);
-    k->heap_len[ni] = hlen;
-    if (agg)
-        k->qv[ni] += rem[i];
-    active = (long)(heap[0] & IDX_MASK);
-    k->actives[ni] = active;
-    k->astarts[ni] = t;
-    double arem = rem[active];
-    k->arems[ni] = arem;
-    double nn = t + arem / speed;
-    long pi = k->pis[ni];
-    if (pi < k->pend_len[ni] && k->pend[ni][pi].t < nn)
-        nn = k->pend[ni][pi].t;
-    k->node_next[ni] = nn;
+    hpush(heap, &k->heap_len[ni], key);
+    if (a->use_agg)
+        k->qv[ni] += k->rem[i];
+    if (!push_only)
+        rearm(k, ni, t);
 }
 
 /* ---- arrivals (after the policy call) ------------------------------- */
@@ -690,7 +798,7 @@ static void handle_arrival(K *k, long i, long path_id, double now) {
                     k->qv[first] += k->rem[i];
                 return;
             }
-        } else if (k->heap_len[first] == 0) {
+        } else if (active == IDLE && k->heap_len[first] == 0) {
             /* Idle, fully-drained node: the newcomer starts at once. */
             heap[0] = pack(a->rank[i], i);
             k->heap_len[first] = 1;
@@ -722,6 +830,53 @@ static inline double live_processed(K *k, long ni, double now) {
     double done = k->a->speed[ni] * elapsed;
     double arem = k->arems[ni];
     return done < arem ? done : arem;
+}
+
+/* ---- outages: candidate filtering ------------------------------------ */
+
+/* path_is_blocked: whether the leaf's processing path from the root
+ * (its chain) crosses a down node. */
+static inline int leaf_blocked(const K *k, long lni) {
+    const int32_t *chain = k->a->chain_concat + k->a->chain_off[lni];
+    long len = k->a->chain_off[lni + 1] - k->a->chain_off[lni];
+    for (long q = 0; q < len; q++)
+        if (k->actives[chain[q]] == DOWN)
+            return 1;
+    return 0;
+}
+
+/* The engine's _filter_branch_records: rebuild each branch's argmin
+ * record over its unblocked leaves (f_kept[e] == 0 drops the branch).
+ * Returns 0 when the unfiltered records stand: no leaf is blocked, or
+ * every leaf is (dispatch must still pick one). */
+static int filter_entries(K *k) {
+    const KernelArgs *a = k->a;
+    int blocked = 0, any_kept = 0;
+    for (long e = 0; e < a->n_entries; e++) {
+        long kept = 0;
+        for (long q = a->el_off[e]; q < a->el_off[e + 1]; q++) {
+            if (leaf_blocked(k, a->el_leaf_ni[q])) {
+                blocked = 1;
+                continue;
+            }
+            double steps = a->el_steps[q];
+            int64_t leaf = a->el_leaf_id[q];
+            if (!kept || steps < k->f_steps[e] ||
+                (steps == k->f_steps[e] && leaf < k->f_tie_leaf[e])) {
+                k->f_steps[e] = steps;
+                k->f_tie_leaf[e] = leaf;
+                k->f_tie_path[e] = a->el_path[q];
+            }
+            if (!kept || leaf < k->f_min_leaf[e]) {
+                k->f_min_leaf[e] = leaf;
+                k->f_min_path[e] = a->el_path[q];
+            }
+            kept += 1;
+        }
+        k->f_kept[e] = kept;
+        any_kept |= kept > 0;
+    }
+    return blocked && any_kept;
 }
 
 static long assign_greedy(K *k, long i, double now) {
@@ -762,14 +917,32 @@ static long assign_greedy(K *k, long i, double now) {
     }
     if (k->status)
         return -1;
-    /* Argmin with the policy's exact tie-breaks. */
+    /* Argmin with the policy's exact tie-breaks, over the branch
+     * records restricted to unblocked leaves while an outage blocks
+     * some (but not every) leaf. */
+    const double *min_steps = a->entry_min_steps;
+    const int64_t *tie_leaf = a->entry_tie_leaf_id;
+    const int32_t *tie_path = a->entry_tie_path;
+    const int64_t *min_leaf = a->entry_min_leaf_id;
+    const int32_t *min_path = a->entry_min_leaf_path;
+    const long *kept = NULL;
+    if (k->n_down && filter_entries(k)) {
+        min_steps = k->f_steps;
+        tie_leaf = k->f_tie_leaf;
+        tie_path = k->f_tie_path;
+        min_leaf = k->f_min_leaf;
+        min_path = k->f_min_path;
+        kept = k->f_kept;
+    }
     long best_pos = -1;
     int64_t best_leaf = 0;
     double best_score = INFINITY;
     if (weight_p > 0.0) {
         for (long e = 0; e < a->n_entries; e++) {
-            double score = k->bases[e] + weight_p * a->entry_min_steps[e];
-            int64_t leaf = a->entry_tie_leaf_id[e];
+            if (kept && !kept[e])
+                continue;
+            double score = k->bases[e] + weight_p * min_steps[e];
+            int64_t leaf = tie_leaf[e];
             if (score < best_score ||
                 (score == best_score && (best_pos < 0 || leaf < best_leaf))) {
                 best_score = score;
@@ -777,14 +950,16 @@ static long assign_greedy(K *k, long i, double now) {
                 best_pos = e;
             }
         }
-        return best_pos >= 0 ? a->entry_tie_path[best_pos] : -1;
+        return best_pos >= 0 ? tie_path[best_pos] : -1;
     }
     /* weight_p == 0.0: all leaves of a branch tie at `base` (the
      * pathological weight_p < 0 scan is gated out on the Python side —
      * job sizes are validated > 0, so it cannot occur here). */
     for (long e = 0; e < a->n_entries; e++) {
+        if (kept && !kept[e])
+            continue;
         double score = k->bases[e];
-        int64_t leaf = a->entry_min_leaf_id[e];
+        int64_t leaf = min_leaf[e];
         if (score < best_score ||
             (score == best_score && (best_pos < 0 || leaf < best_leaf))) {
             best_score = score;
@@ -792,7 +967,7 @@ static long assign_greedy(K *k, long i, double now) {
             best_pos = e;
         }
     }
-    return best_pos >= 0 ? a->entry_min_leaf_path[best_pos] : -1;
+    return best_pos >= 0 ? min_path[best_pos] : -1;
 }
 
 /* ---- policy: least-loaded (congestion-aggregate reads) -------------- */
@@ -814,12 +989,22 @@ static long assign_least_loaded(K *k, long i, double now) {
         }
         k->top_load[tpos] = v;
     }
+    /* Outages drop the blocked candidates, unless they block all. */
+    int filter = 0;
+    if (k->n_down) {
+        long kept = 0;
+        for (long c = 0; c < a->n_cands; c++)
+            kept += !leaf_blocked(k, a->cand_leaf_ni[c]);
+        filter = kept > 0 && kept < a->n_cands;
+    }
     double p = a->size[i];
     long best_pos = -1;
     int64_t best_leaf = 0;
     double best_score = INFINITY;
     for (long c = 0; c < a->n_cands; c++) {
         long lni = a->cand_leaf_ni[c];
+        if (filter && leaf_blocked(k, lni))
+            continue;
         sync_chain(k, lni, now); /* volume_through syncs the leaf chain */
         double vol;
         if (k->tc[lni] == 0) {
@@ -844,6 +1029,269 @@ static long assign_least_loaded(K *k, long i, double now) {
     return best_pos >= 0 ? a->cand_path[best_pos] : -1;
 }
 
+/* ---- policy: greedy-unrelated (Section 3.4, Theorem 2) -------------- */
+
+/* The SJF order of fvalues.outranks: (p_i, r_i, id_i) < (p_j, r_j, id_j). */
+static inline int outranks(const KernelArgs *a, double p_i, long i, double p_j,
+                           long j) {
+    if (p_i != p_j)
+        return p_i < p_j;
+    if (a->rel[i] != a->rel[j])
+        return a->rel[i] < a->rel[j];
+    return a->job_id[i] < a->job_id[j];
+}
+
+/* f_top_value at root-adjacent node ni for arriving job j: the heap in
+ * array order, leaf sizes at a leaf, sizes elsewhere. */
+static double f_top(K *k, long ni, long j, double now) {
+    const KernelArgs *a = k->a;
+    double p_j = a->size[j];
+    double total = p_j;
+    const int64_t *h = k->heap[ni];
+    long hl = k->heap_len[ni];
+    const double *p_col = a->is_leaf[ni] ? k->p_leaf : a->size;
+    long active = k->actives[ni];
+    for (long q = 0; q < hl; q++) {
+        long o = (long)(h[q] & IDX_MASK);
+        double p_i = p_col[o];
+        if (outranks(a, p_i, o, p_j, j)) {
+            if (o == active) {
+                double r = k->arems[ni] - a->speed[ni] * (now - k->astarts[ni]);
+                total += r > 0.0 ? r : 0.0;
+            } else {
+                total += k->rem[o];
+            }
+        } else if (p_i > p_j) {
+            total += p_j;
+        }
+    }
+    return total;
+}
+
+/* f_prime_value at leaf lni for job j (p_jv = p_{j,leaf}): the leaf's
+ * alive jobs in ascending id; jobs still upstream count in full.
+ * Finished and cancelled rows leave the list here. */
+static double f_prime(K *k, long lni, long j, double p_jv, double now) {
+    const KernelArgs *a = k->a;
+    sync_chain(k, lni, now);
+    double total = p_jv;
+    int32_t *al = k->alive[lni];
+    long len = k->alive_len[lni], w = 0;
+    long active = k->actives[lni];
+    for (long q = 0; q < len; q++) {
+        long o = al[q];
+        long plen = k->jpath_len[o];
+        long h = k->hop[o];
+        if (h >= plen)
+            continue;
+        al[w++] = (int32_t)o;
+        double p_iv = k->p_leaf[o];
+        double r;
+        if (h == plen - 1) { /* physically at the leaf */
+            if (o == active) {
+                r = k->arems[lni] - a->speed[lni] * (now - k->astarts[lni]);
+                if (r < 0.0)
+                    r = 0.0;
+            } else {
+                r = k->rem[o];
+            }
+        } else {
+            r = p_iv;
+        }
+        if (outranks(a, p_iv, o, p_jv, j))
+            total += r;
+        else if (p_iv > p_jv)
+            total += p_jv * r / p_iv;
+    }
+    k->alive_len[lni] = w;
+    return total;
+}
+
+/* One GreedyUnrelated._scan; returns the winning el column or -1. */
+static long scan_unrelated(K *k, long i, double now, int skip_blocked) {
+    const KernelArgs *a = k->a;
+    const double *p_row = a->leaf_p + (size_t)i * k->n_leaves;
+    double weight_p = a->weight * a->size[i];
+    long best = -1;
+    int64_t best_leaf = 0;
+    double best_score = INFINITY;
+    for (long e = 0; e < a->n_entries; e++) {
+        double base = k->bases[e];
+        for (long q = a->el_off[e]; q < a->el_off[e + 1]; q++) {
+            double p = p_row[q];
+            if (!isfinite(p))
+                continue;
+            long lni = a->el_leaf_ni[q];
+            if (skip_blocked && leaf_blocked(k, lni))
+                continue;
+            double score =
+                base + f_prime(k, lni, i, p, now) + weight_p * a->el_steps[q];
+            int64_t leaf = a->el_leaf_id[q];
+            if (score < best_score ||
+                (score == best_score && (best < 0 || leaf < best_leaf))) {
+                best_score = score;
+                best_leaf = leaf;
+                best = q;
+            }
+        }
+    }
+    return best;
+}
+
+/* Insert job i into leaf lni's alive list, keeping ascending job id. */
+static int alive_insert(K *k, long lni, long i) {
+    long len = k->alive_len[lni];
+    if (len == k->alive_cap[lni] &&
+        !grow(k, (void **)&k->alive[lni], &k->alive_cap[lni], sizeof(int32_t)))
+        return 0;
+    int32_t *al = k->alive[lni];
+    const int64_t *ids = k->a->job_id;
+    long pos = len;
+    while (pos > 0 && ids[al[pos - 1]] > ids[i]) {
+        al[pos] = al[pos - 1];
+        pos -= 1;
+    }
+    al[pos] = (int32_t)i;
+    k->alive_len[lni] = len + 1;
+    return 1;
+}
+
+/* Index of value p in the sorted distinct leaf sizes: the leaf-heap
+ * rank, so (rank << 32) | row orders like (p_leaf, release, id). */
+static int64_t uniq_rank(const KernelArgs *a, double p) {
+    long lo = 0, hi = (long)a->n_uniq;
+    while (lo < hi) {
+        long mid = lo + (hi - lo) / 2;
+        if (a->leaf_p_uniq[mid] < p)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+static long assign_unrelated(K *k, long i, double now) {
+    const KernelArgs *a = k->a;
+    for (long e = 0; e < a->n_entries; e++) {
+        long ni = a->entry_ni[e];
+        if (k->node_next[ni] <= now)
+            advance_node(k, ni, now);
+        k->bases[e] = f_top(k, ni, i, now);
+    }
+    long q = scan_unrelated(k, i, now, k->n_down > 0);
+    if (q < 0 && k->n_down)
+        /* Every feasible leaf sits behind an outage: rescore ignoring
+         * the down set (the job stalls en route until the repair). */
+        q = scan_unrelated(k, i, now, 0);
+    if (q < 0 || k->status)
+        return -1;
+    double p = a->leaf_p[(size_t)i * k->n_leaves + q];
+    k->p_leaf[i] = p;
+    double ft = a->ftol_rtol * p;
+    k->ftol_leaf[i] = ft > a->ftol_atol ? ft : a->ftol_atol;
+    k->lrank3[i] = uniq_rank(a, p);
+    if (!alive_insert(k, a->el_leaf_ni[q], i))
+        return -1;
+    return a->el_path[q];
+}
+
+/* ---- dynamic events --------------------------------------------------- */
+
+static void node_down(K *k, long ni, double t) {
+    sync_chain(k, ni, t);
+    if (k->status)
+        return;
+    settle(k, ni, t);
+    drain_top(k, ni, t);
+    k->actives[ni] = DOWN;
+    long pi = k->pis[ni];
+    k->node_next[ni] = pi < k->pend_len[ni] ? k->pend[ni][pi].t : INFINITY;
+    k->n_down += 1;
+}
+
+static void node_up(K *k, long ni, double t) {
+    sync_chain(k, ni, t); /* absorbs the pushes due by t */
+    if (k->status)
+        return;
+    k->actives[ni] = IDLE;
+    k->n_down -= 1;
+    drain_top(k, ni, t);
+    rearm(k, ni, t);
+}
+
+/* Withdraw released job i at instant t (the engine's _handle_cancel). */
+static void cancel_job(K *k, long i, double t) {
+    const KernelArgs *a = k->a;
+    long off = k->jpath_off[i];
+    long plen = k->jpath_len[i];
+    sync_chain(k, a->path_concat[off + plen - 1], t); /* its whole path */
+    if (k->status)
+        return;
+    long h = k->hop[i];
+    if (h >= plen)
+        return; /* already finished */
+    long cur = a->path_concat[off + h];
+    if (k->actives[cur] == i) {
+        /* In service: settle, pop it (the heap top), restart the node. */
+        settle(k, cur, t);
+        hpop(k->heap[cur], &k->heap_len[cur]);
+        drain_top(k, cur, t);
+        rearm(k, cur, t);
+    } else {
+        /* Queued (possibly on a down node): heap[pos] = heap[-1];
+         * pop; heapify.  The top, and so the node's next event, stays. */
+        int64_t *heap = k->heap[cur];
+        long len = k->heap_len[cur];
+        long pos = 0;
+        while (pos < len && (long)(heap[pos] & IDX_MASK) != i)
+            pos += 1;
+        if (pos < len) {
+            heap[pos] = heap[len - 1];
+            k->heap_len[cur] = len - 1;
+            heapify(heap, len - 1);
+        }
+    }
+    double r = k->rem[i];
+    if (a->use_agg) {
+        k->qv[cur] -= r;
+        for (long q = h; q < plen; q++) {
+            long v = a->path_concat[off + q];
+            k->tc[v] -= 1;
+            k->tv[v] -= q == h ? r : (a->is_leaf[v] ? k->p_leaf[i] : a->size[i]);
+        }
+    }
+    if (a->is_leaf[cur]) {
+        double pl = k->p_leaf[i];
+        a->out_deficit[i] += (pl - r) / pl * (t - k->prev_end[i]);
+    }
+    k->hop[i] = plen;
+    k->rem[i] = 0.0;
+    a->out_cancel[i] = t;
+}
+
+/* Apply dynamic event d; rows below `released` have arrived. */
+static void apply_dyn(K *k, long d, long released) {
+    const KernelArgs *a = k->a;
+    k->num_events += 1;
+    if (k->num_events > a->max_events) {
+        k->status = ST_MAX_EVENTS;
+        return;
+    }
+    double t = a->dyn_time[d];
+    long arg = a->dyn_arg[d];
+    switch (a->dyn_kind[d]) {
+    case DYN_DOWN:
+        node_down(k, arg, t);
+        break;
+    case DYN_UP:
+        node_up(k, arg, t);
+        break;
+    default: /* cancels of unknown or unreleased jobs are no-ops */
+        if (arg >= 0 && arg < released)
+            cancel_job(k, arg, t);
+    }
+}
+
 /* ---- entry point ----------------------------------------------------- */
 
 int repro_run(const KernelArgs *a) {
@@ -859,19 +1307,28 @@ int repro_run(const KernelArgs *a) {
     K k;
     memset(&k, 0, sizeof(k));
     k.a = a;
-    k.m = m;
     k.mp = (long)a->max_path;
+    long kind = (long)a->policy_kind;
+    long ne = a->n_entries > 0 ? (long)a->n_entries : 1;
+    long nt = a->n_tops > 0 ? (long)a->n_tops : 1;
+    long n3 = kind == 3 ? n : 1;
+    k.n_leaves = a->n_entries > 0 && a->el_off ? a->el_off[a->n_entries] : 0;
 
     size_t bytes = 0;
-    bytes += (size_t)m * sizeof(void *) * 2;  /* heap pend */
-    bytes += (size_t)m * sizeof(long) * 7;    /* heap_len heap_cap pend_len
-                                                 pend_cap pis actives tc */
+    bytes += (size_t)m * sizeof(void *) * 3;  /* heap pend alive */
+    bytes += (size_t)m * sizeof(long) * 9;    /* heap_len heap_cap pend_len
+                                                 pend_cap pis actives tc
+                                                 alive_len alive_cap */
     bytes += (size_t)m * sizeof(double) * 5;  /* astarts arems node_next tv qv */
     bytes += (size_t)n * sizeof(double) * 4;  /* rem p_leaf ftol_leaf prev_end */
     bytes += (size_t)n * sizeof(long);        /* hop */
+    bytes += (size_t)n3 * sizeof(int64_t);    /* lrank3 */
+    bytes += (size_t)ne * (sizeof(double) * 2 + sizeof(long) +
+                           sizeof(int64_t) * 2); /* bases f_steps f_kept
+                                                    f_tie_leaf f_min_leaf */
+    bytes += (size_t)nt * sizeof(double);     /* top_load */
     bytes += (size_t)n * sizeof(int32_t) * 2; /* jpath_off jpath_len */
-    bytes += (size_t)(a->n_entries > 0 ? a->n_entries : 1) * sizeof(double);
-    bytes += (size_t)(a->n_tops > 0 ? a->n_tops : 1) * sizeof(double);
+    bytes += (size_t)ne * sizeof(int32_t) * 2; /* f_tie_path f_min_path */
     char *blob = (char *)calloc(1, bytes);
     if (!blob)
         return ST_NOMEM;
@@ -881,6 +1338,7 @@ int repro_run(const KernelArgs *a) {
     p += (size_t)(count) * sizeof(type)
     TAKE(heap, int64_t *, m);
     TAKE(pend, Pend *, m);
+    TAKE(alive, int32_t *, m);
     TAKE(heap_len, long, m);
     TAKE(heap_cap, long, m);
     TAKE(pend_len, long, m);
@@ -888,6 +1346,8 @@ int repro_run(const KernelArgs *a) {
     TAKE(pis, long, m);
     TAKE(actives, long, m);
     TAKE(tc, long, m);
+    TAKE(alive_len, long, m);
+    TAKE(alive_cap, long, m);
     TAKE(astarts, double, m);
     TAKE(arems, double, m);
     TAKE(node_next, double, m);
@@ -898,55 +1358,64 @@ int repro_run(const KernelArgs *a) {
     TAKE(ftol_leaf, double, n);
     TAKE(prev_end, double, n);
     TAKE(hop, long, n);
+    TAKE(lrank3, int64_t, n3);
+    TAKE(bases, double, ne);
+    TAKE(f_steps, double, ne);
+    TAKE(f_kept, long, ne);
+    TAKE(f_tie_leaf, int64_t, ne);
+    TAKE(f_min_leaf, int64_t, ne);
+    TAKE(top_load, double, nt);
     TAKE(jpath_off, int32_t, n);
     TAKE(jpath_len, int32_t, n);
-    TAKE(bases, double, a->n_entries > 0 ? a->n_entries : 1);
-    TAKE(top_load, double, a->n_tops > 0 ? a->n_tops : 1);
+    TAKE(f_tie_path, int32_t, ne);
+    TAKE(f_min_path, int32_t, ne);
 #undef TAKE
+    k.lrank = kind == 3 ? k.lrank3 : a->leaf_rank;
 
     for (long ni = 0; ni < m; ni++) {
         k.heap[ni] = (int64_t *)malloc(INIT_CAP * sizeof(int64_t));
         k.pend[ni] = (Pend *)malloc(INIT_CAP * sizeof(Pend));
         if (!k.heap[ni] || !k.pend[ni])
             k.status = ST_NOMEM;
+        if (kind == 3 && a->is_leaf[ni]) {
+            k.alive[ni] = (int32_t *)malloc(INIT_CAP * sizeof(int32_t));
+            if (!k.alive[ni])
+                k.status = ST_NOMEM;
+            k.alive_cap[ni] = INIT_CAP;
+        }
         k.heap_cap[ni] = INIT_CAP;
         k.pend_cap[ni] = INIT_CAP;
-        k.heap_len[ni] = 0;
-        k.pend_len[ni] = 0;
-        k.pis[ni] = 0;
-        k.actives[ni] = -1;
-        k.tc[ni] = 0;
-        k.astarts[ni] = 0.0;
-        k.arems[ni] = 0.0;
+        k.actives[ni] = IDLE;
         k.node_next[ni] = INFINITY;
-        k.tv[ni] = 0.0;
-        k.qv[ni] = 0.0;
     }
     for (long i = 0; i < n; i++) {
-        k.rem[i] = 0.0;
-        k.prev_end[i] = 0.0;
-        k.hop[i] = 0;
-        k.jpath_off[i] = 0;
-        k.jpath_len[i] = 0;
         a->out_deficit[i] = 0.0;
         /* Availability timelines pre-seeded with the release instant,
          * exactly like the engine's job records. */
         a->out_avail[(size_t)i * k.mp] = a->rel[i];
         a->out_avail_cnt[i] = 1;
         a->out_comp_cnt[i] = 0;
-        if (a->policy_kind == 0) {
+        if (kind == 0) {
             k.p_leaf[i] = a->p_leaf_in[i];
             k.ftol_leaf[i] = a->ftol_leaf_in[i];
         }
     }
 
-    long kind = (long)a->policy_kind;
+    long n_dyn = (long)a->n_dyn;
+    long d = 0;
     for (long i = 0; i < n && !k.status; i++) {
         double now = a->rel[i];
-        k.now = now;
+        /* Dynamic events due by this release go first (the engine's
+         * tie rule: completions, then dynamic events, then arrivals). */
+        while (d < n_dyn && a->dyn_time[d] <= now && !k.status)
+            apply_dyn(&k, d++, i);
+        if (k.status)
+            break;
         long path_id;
         if (kind == 0) {
             path_id = a->job_path_id[i];
+        } else if (kind == 3) {
+            path_id = assign_unrelated(&k, i, now);
         } else {
             /* Identical setting: p_{j,leaf} == p_j whichever leaf the
              * policy picks, so the leaf columns are fixed up front. */
@@ -954,24 +1423,26 @@ int repro_run(const KernelArgs *a) {
             k.ftol_leaf[i] = a->ftol_size[i];
             path_id = (kind == 1) ? assign_greedy(&k, i, now)
                                   : assign_least_loaded(&k, i, now);
-            if (path_id < 0) {
-                /* A nested advance tripped max_events, or (vacuous for
-                 * validated instances) every score was NaN. */
-                if (!k.status)
-                    k.status = ST_BAD_ARGS;
-                break;
-            }
+        }
+        if (path_id < 0) {
+            /* A nested advance tripped max_events, a buffer could not
+             * grow, or (vacuous for validated instances) no leaf
+             * scored. */
+            if (!k.status)
+                k.status = ST_BAD_ARGS;
+            break;
         }
         a->out_path_id[i] = (int32_t)path_id;
         handle_arrival(&k, i, path_id, now);
-        if (k.status)
-            break;
     }
     /* Arrivals count as events. */
     k.num_events += n;
+    while (d < n_dyn && !k.status)
+        apply_dyn(&k, d++, n);
 
     /* Final drain: preorder guarantees every node's parent empties
-     * first, so one pass completes all in-flight work. */
+     * first, and every outage has ended, so one pass completes all
+     * in-flight work. */
     if (!k.status) {
         for (long ni = 0; ni < m; ni++) {
             advance_node(&k, ni, INFINITY);
@@ -984,6 +1455,7 @@ int repro_run(const KernelArgs *a) {
     for (long ni = 0; ni < m; ni++) {
         free(k.heap[ni]);
         free(k.pend[ni]);
+        free(k.alive[ni]);
     }
     free(blob);
     return k.status;

@@ -207,7 +207,9 @@ class RecordView(Mapping):
     ``jobs[i]`` (id ``job_id[i]``, release ``release[i]``),
     ``path_id[i]`` indexes ``paths``, and row ``i`` of
     ``available_at``/``completed_at`` holds the job's first
-    ``available_cnt[i]``/``completed_cnt[i]`` hop times.  The
+    ``available_cnt[i]``/``completed_cnt[i]`` hop times, and
+    ``cancelled_at[i]`` its cancel instant (NaN when it was not
+    cancelled; no column at all means no cancels).  The
     :class:`ResultColumns` the reductions read are derived from the rows
     with array operations.  The :class:`JobRecord` objects are built on
     first access to a record (one per row, in row order) and cached;
@@ -229,6 +231,7 @@ class RecordView(Mapping):
         completed_at: np.ndarray,
         completed_cnt: np.ndarray,
         deficit: np.ndarray,
+        cancelled_at: np.ndarray | None = None,
     ) -> None:
         self.jobs = jobs
         self.paths = paths
@@ -240,6 +243,7 @@ class RecordView(Mapping):
         #: Per-job ``flow - fractional flow`` (the kernel's
         #: ``out_deficit``), for the fractional-flow integral.
         self.deficit = deficit
+        self.cancelled_at = cancelled_at
         n = len(job_id)
         path_len = np.array([len(p) for p in paths], dtype=np.int64)
         finished = completed_cnt == path_len[path_id]
@@ -249,7 +253,11 @@ class RecordView(Mapping):
             release=release,
             leaf=np.array([p[-1] for p in paths], dtype=np.int64)[path_id],
             finished=finished,
-            cancelled=np.zeros(n, dtype=bool),
+            cancelled=(
+                np.zeros(n, dtype=bool)
+                if cancelled_at is None
+                else ~np.isnan(cancelled_at)
+            ),
             completion=np.where(finished, last, np.nan),
         )
         self._records: dict[int, JobRecord] | None = None
@@ -265,6 +273,10 @@ class RecordView(Mapping):
             avail_rows, comp_rows = self.available_at, self.completed_at
             avail_cnt = self.available_cnt.tolist()
             comp_cnt = self.completed_cnt.tolist()
+            cancelled = self.columns.cancelled
+            cancel_at = (
+                self.cancelled_at.tolist() if cancelled.any() else None
+            )
             records = {}
             for i, job in enumerate(self.jobs):
                 path = paths[pid[i]]
@@ -275,6 +287,11 @@ class RecordView(Mapping):
                     path=path,
                     available_at=avail_rows[i, : avail_cnt[i]].tolist(),
                     completed_at=comp_rows[i, : comp_cnt[i]].tolist(),
+                    cancelled_at=(
+                        None
+                        if cancel_at is None or math.isnan(cancel_at[i])
+                        else cancel_at[i]
+                    ),
                 )
             self._records = records
         return records

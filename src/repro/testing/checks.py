@@ -46,7 +46,13 @@ from repro.testing.generate import FuzzCase
 from repro.testing.metamorphic import run_relations
 from repro.testing.reference import reference_simulate
 
-__all__ = ["ALL_CHECKS", "BACKEND_CHECK", "CheckFailure", "run_checks"]
+__all__ = [
+    "ALL_CHECKS",
+    "BACKEND_CHECK",
+    "CheckFailure",
+    "c_backend_plan",
+    "run_checks",
+]
 
 #: Relative tolerance for exact-oracle agreement: both sides use the
 #: same arithmetic forms, so observed disagreement is ~1 ulp; anything
@@ -322,6 +328,30 @@ def run_checks(
     return failures
 
 
+def c_backend_plan(case: FuzzCase):
+    """The compiled kernel's plan for ``case``: ``(engine, None)`` when
+    the kernel accepts it, else ``(None, reason)`` — the plan gate's
+    message, or why the kernel is unavailable.  Planning consumes no
+    policy state (each call builds a fresh policy object)."""
+    from repro.sim.backends import c_build
+    from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
+
+    ok, reason = c_build.availability()
+    if not ok:
+        return None, f"c backend unavailable: {reason}"
+    try:
+        engine = CEngine(
+            case.instance,
+            case.policy(),
+            case.speeds(),
+            priority=case.priority_fn(),
+            events=case.events,
+        )
+    except (CKernelInapplicable, c_build.CKernelUnavailable) as exc:
+        return None, str(exc)
+    return engine, None
+
+
 def _check_c_backend(case: FuzzCase, base, assignment) -> list[CheckFailure]:
     """Differential replay on the compiled kernel.
 
@@ -332,6 +362,11 @@ def _check_c_backend(case: FuzzCase, base, assignment) -> list[CheckFailure]:
     tolerance only absorbs any future change to float summation order
     inside the kernel).
 
+    The run integrals ``alive_integral`` and ``fractional_flow`` must
+    agree within ``SCHEDULE_TOL`` relative: the kernel sums them per job
+    where the engine integrates event by event, so only the last bits
+    may differ.
+
     ``num_events`` is deliberately *not* compared: on tie-heavy cases
     two hop completions on adjacent nodes can land on the same instant,
     and whether the engine counts the second as its own event or folds
@@ -340,26 +375,16 @@ def _check_c_backend(case: FuzzCase, base, assignment) -> list[CheckFailure]:
     implementation detail of the lazy event queue, invisible in the
     schedule.  The per-hop timelines compared here are the schedule.
 
-    Skipped per case when the plan gate rejects it (dynamic events,
-    generic priorities, policies the kernel does not model — those run
-    on the python engine, which the rest of the battery checks) and
-    globally when no working compiler exists.
+    Skipped per case when the plan gate rejects it (generic priorities,
+    size estimates, policies the kernel does not model — those run on
+    the python engine, which the rest of the battery checks) and
+    globally when no working compiler exists (see
+    :func:`c_backend_plan`).
     """
-    from repro.sim.backends import c_build
-    from repro.sim.backends.c_backend import CEngine, CKernelInapplicable
     from repro.sim.tolerances import SCHEDULE_TOL
 
-    if not c_build.availability()[0]:
-        return []
-    try:
-        eng = CEngine(
-            case.instance,
-            case.policy(),
-            case.speeds(),
-            priority=case.priority_fn(),
-            events=case.events,
-        )
-    except (CKernelInapplicable, c_build.CKernelUnavailable):
+    eng, _ = c_backend_plan(case)
+    if eng is None:
         return []
     try:
         alt = eng.run()
@@ -370,6 +395,12 @@ def _check_c_backend(case: FuzzCase, base, assignment) -> list[CheckFailure]:
             )
         ]
     failures: list[CheckFailure] = []
+    for label in ("alive_integral", "fractional_flow"):
+        ours, theirs = getattr(base, label), getattr(alt, label)
+        if abs(ours - theirs) > SCHEDULE_TOL * max(1.0, abs(ours)):
+            failures.append(
+                CheckFailure("backends", f"{label} engine {ours!r}, c {theirs!r}")
+            )
     alt_assignment = alt.assignment()
     if alt_assignment != assignment:
         moved = {

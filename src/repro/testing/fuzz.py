@@ -15,6 +15,7 @@ documents, digests — is deterministic.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro.testing.checks import (
     ALL_CHECKS,
     BACKEND_CHECK,
     CheckFailure,
+    c_backend_plan,
     run_checks,
 )
 from repro.testing.corpus import DEFAULT_CORPUS_DIR, case_digest, save_repro
@@ -70,10 +72,27 @@ class FuzzSummary:
     elapsed_seconds: float
     failures: list[FuzzFailureRecord] = field(default_factory=list)
     stopped_by: str = "max_cases"  # or "budget"
+    #: Outcomes of the backends check (``--backends``): ``"compared"``
+    #: per case replayed on the C kernel, else the reason it was not.
+    backend_outcomes: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def c_compared(self) -> int:
+        """Cases the backends check replayed on the C kernel."""
+        return self.backend_outcomes["compared"]
+
+    @property
+    def c_declined(self) -> dict[str, int]:
+        """Cases the backends check skipped, per reason."""
+        return {
+            reason: count
+            for reason, count in sorted(self.backend_outcomes.items())
+            if reason != "compared"
+        }
 
     def to_doc(self) -> dict:
         return {
@@ -82,6 +101,8 @@ class FuzzSummary:
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "stopped_by": self.stopped_by,
             "ok": self.ok,
+            "c_compared": self.c_compared,
+            "c_declined": self.c_declined,
             "failures": [f.to_doc() for f in self.failures],
         }
 
@@ -145,6 +166,8 @@ def run_fuzz(
             summary.stopped_by = "budget"
             break
         failures = run_checks(case, checks=selected)
+        if BACKEND_CHECK in selected:
+            _tally_backend(summary.backend_outcomes, case, failures)
         summary.cases_run += 1
         if failures:
             summary.failures.append(
@@ -161,6 +184,17 @@ def run_fuzz(
             progress(summary.cases_run, len(summary.failures))
     summary.elapsed_seconds = time.monotonic() - started
     return summary
+
+
+def _tally_backend(outcomes: Counter, case, failures) -> None:
+    """Count the case as compared on the C kernel, or under the reason
+    the kernel declined it.  A case whose engine run failed never
+    reaches the backends check, so it counts as neither."""
+    _, reason = c_backend_plan(case)
+    if reason is not None:
+        outcomes[reason] += 1
+    elif not any(f.check == "engine" for f in failures):
+        outcomes["compared"] += 1
 
 
 def _handle_failure(

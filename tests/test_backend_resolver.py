@@ -133,15 +133,46 @@ class TestFallbackAttribution:
         assert result.backend == "c"
         assert result.fallback_reason is None
 
-    def test_event_bearing_run_reports_python_and_why(self):
+    def test_event_bearing_run_is_served_by_c(self):
         from repro import api
         from repro.workload.events import Cancel, EventSchedule
 
         inst = self._instance()
         events = EventSchedule([Cancel(inst.jobs[5].release + 0.5, inst.jobs[5].id)])
         result = api.simulate(instance=inst, backend="c", events=events)
+        assert result.backend == "c"
+        assert result.fallback_reason is None
+        ref = api.simulate(instance=inst, backend="python", events=events)
+        assert result.completions() == ref.completions()
+        assert result.assignment() == ref.assignment()
+        assert {j: r.cancelled_at for j, r in result.records.items()} == {
+            j: r.cancelled_at for j, r in ref.records.items()
+        }
+        assert {j: r.completed_at for j, r in result.records.items()} == {
+            j: r.completed_at for j, r in ref.records.items()
+        }
+
+    def test_event_bearing_run_reports_python_and_why(self):
+        # Events plus size estimates: the estimates are still outside
+        # the kernel, so the run falls back and says why.
+        from repro import api
+        from repro.workload.events import Cancel, EventSchedule
+        from repro.workload.instance import Instance
+        from repro.workload.job import Job, JobSet
+
+        inst = self._instance()
+        inst = Instance(
+            inst.tree,
+            JobSet([Job(j.id, j.release, j.size, size_estimate=2 * j.size)
+                    for j in inst.jobs]),
+            inst.setting,
+        )
+        events = EventSchedule([Cancel(inst.jobs[5].release + 0.5, inst.jobs[5].id)])
+        result = api.simulate(instance=inst, backend="c", events=events)
         assert result.backend == "python"
-        assert "dynamic events" in result.fallback_reason
+        assert "size estimates" in result.fallback_reason
+        ref = api.simulate(instance=inst, backend="python", events=events)
+        assert result.completions() == ref.completions()
 
     def test_python_selection_has_no_fallback(self):
         from repro import api

@@ -27,7 +27,7 @@ from repro.sim.backends import c_build
 from repro.sim.engine import Engine
 from repro.workload.events import Cancel, EventSchedule, NodeDown, NodeUp
 from repro.workload.instance import Instance, Setting
-from repro.workload.job import JobSet
+from repro.workload.job import Job, JobSet
 
 
 def _chain_instance():
@@ -247,19 +247,47 @@ def _parity_pair():
 _C_OK, _C_REASON = c_build.availability()
 
 
+def _with_estimates(inst):
+    """``inst`` with every job carrying a size estimate: a plan the
+    kernel still declines."""
+    jobs = JobSet(
+        [Job(j.id, j.release, j.size, size_estimate=1.25 * j.size) for j in inst.jobs]
+    )
+    return Instance(inst.tree, jobs, inst.setting, name=inst.name)
+
+
 @pytest.mark.skipif(not _C_OK, reason=f"c backend unavailable: {_C_REASON}")
 class TestBackendParityWithEvents:
-    def test_c_backend_runs_python_and_says_why(self):
-        # The kernel has no event barrier: an event-bearing run that
-        # selects "c" runs on the python engine, silently but
-        # attributably, with the python engine's exact schedule.
+    def test_c_backend_runs_events_natively(self):
+        # Outages, repairs and cancels are in the kernel: an event-bearing
+        # run that selects "c" runs there, with the python engine's exact
+        # schedule, cancel instants and event count.
         inst, events = _parity_pair()
+        got = api.simulate(instance=inst, backend="c", events=events)
+        assert (got.backend, got.fallback_reason) == ("c", None)
+        ref = api.simulate(instance=inst, backend="python", events=events)
+        assert got.completions() == ref.completions()
+        assert {j: r.cancelled_at for j, r in got.records.items()} == {
+            j: r.cancelled_at for j, r in ref.records.items()
+        }
+        assert got.assignment() == ref.assignment()
+        assert {j: (r.available_at, r.completed_at) for j, r in got.records.items()} == {
+            j: (r.available_at, r.completed_at) for j, r in ref.records.items()
+        }
+        assert got.num_events == ref.num_events
+
+    def test_c_backend_runs_python_and_says_why(self):
+        # A plan the kernel still declines (size estimates) runs on the
+        # python engine, silently but attributably, with the python
+        # engine's exact schedule — events included.
+        inst, events = _parity_pair()
+        inst = _with_estimates(inst)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = api.simulate(instance=inst, backend="c", events=events)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert got.backend == "python"
-        assert "dynamic events" in got.fallback_reason
+        assert "size estimates" in got.fallback_reason
         ref = api.simulate(instance=inst, backend="python", events=events)
         assert got.completions() == ref.completions()
         assert {j: r.cancelled_at for j, r in got.records.items()} == {
